@@ -122,10 +122,16 @@ class ReplicaGroup:
         self._flagged: "list[int]" = []
         self._closed = False
         ctx = ctx if ctx is not None else spawn_context()
-        self._replicas = [
-            WorkerClient(book, shard, r, backend, rebuild_threshold,
-                         build_args, keys, ctx=ctx)
-            for r in range(n_replicas)]
+        self._replicas: "list[WorkerClient]" = []
+        try:
+            for r in range(n_replicas):
+                self._replicas.append(WorkerClient(
+                    book, shard, r, backend, rebuild_threshold,
+                    build_args, keys, ctx=ctx))
+        except BaseException:
+            # A failed spawn must not leak its already-running peers.
+            self.close()
+            raise
 
     # -- liveness ------------------------------------------------------
     @property
@@ -396,7 +402,13 @@ class TransportClusterRouter(ClusterRouter):
                                 else DivergenceConfig())
         self._ctx = spawn_context()
         self._spawned: "list[ReplicaGroup]" = []
-        super().__init__(shard_map, keys, backend, **router_args)
+        try:
+            super().__init__(shard_map, keys, backend, **router_args)
+        except BaseException:
+            # The caller never gets a router to close: reap the groups
+            # of the shards built before the failing one.
+            self.close()
+            raise
 
     @property
     def book(self) -> TransportBook:

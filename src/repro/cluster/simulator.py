@@ -23,9 +23,14 @@ boundaries, and records three families of series:
 
 All metrics are deterministic cost proxies (probe counts, key
 counts), so a cluster cell keeps the jobs/executor parity guarantee
-of every other sweep on the engine.  Mutations apply one op at a
-time, reads batch per same-kind run — retrain *and* rebalance timing
-are invariant under batching by construction.
+of every other sweep on the engine.  Each tick is served through
+:func:`~repro.workload.simulator.feed_tick`, the tick feed shared
+with the single-backend simulator: by default one columnar
+:meth:`~repro.cluster.router.ClusterRouter.replay_ops` call that
+hands every shard its events in op order, firing each retrain at the
+op where the one-op-at-a-time scalar reference feed (kept for the
+parity suites) would.  Rebalancing acts only at tick boundaries, so
+retrain *and* rebalance timing are invariant under batching.
 
 Cluster adversaries
 -------------------
@@ -69,16 +74,14 @@ from ..observe.metrics import MetricsRegistry
 from ..observe.metrics import active as observe_active
 from ..runtime import stable_seed_words
 from ..workload.closedloop import AdaptiveAdversary
-from ..workload.simulator import TickObservation, last_finite
-from ..workload.trace import (
-    OP_DELETE,
-    OP_INSERT,
-    OP_MODIFY,
-    OP_POISON,
-    OP_QUERY,
-    OP_RANGE,
-    Trace,
+from ..workload.simulator import (
+    TickObservation,
+    feed_tick,
+    last_finite,
+    probe_summary,
+    tick_bounds,
 )
+from ..workload.trace import Trace
 from .rebalance import Rebalancer, SloWeightedDefense
 from .router import ClusterRouter
 
@@ -463,7 +466,7 @@ class ClusterSimulator:
         (drawn deterministically from each tenant's base keys).
     adversary:
         Optional cluster feedback port; returned keys are injected at
-        the start of the next tick, one op at a time.
+        the start of the next tick, ahead of its ops.
     rebalancer:
         Optional :class:`Rebalancer`; its split/merge decisions apply
         at tick boundaries and their migration cost lands in the
@@ -472,10 +475,11 @@ class ClusterSimulator:
         Optional :class:`SloWeightedDefense`; per-shard decisions
         apply through the router's shard tuner hooks every tick.
     columnar:
-        Serve each tick as one :meth:`ClusterRouter.replay_ops` call
-        (the default fast path) instead of one router call per op
-        run.  Both paths produce bit-identical reports; the scalar
-        path remains as the parity reference.
+        Which path of :func:`~repro.workload.simulator.feed_tick`
+        serves each tick: one :meth:`ClusterRouter.replay_ops` call
+        (the default fast path) or one router call per op run.  Both
+        paths produce bit-identical reports; the scalar path remains
+        as the parity reference.
     """
 
     def __init__(self, router: ClusterRouter, trace: Trace,
@@ -553,10 +557,7 @@ class ClusterSimulator:
         baselines = np.asarray(
             [self._sample_cost(t) for t in range(self._n_tenants)])
 
-        n_ticks = -(-n // self._tick_ops)  # ceil
-        bounds = np.minimum(
-            (np.arange(n_ticks, dtype=np.int64) + 1) * self._tick_ops,
-            n)
+        bounds = tick_bounds(n, self._tick_ops)
 
         series: dict[str, list[float]] = {
             name: [] for name in _CLUSTER_SERIES}
@@ -566,9 +567,6 @@ class ClusterSimulator:
             name: [] for name in _SHARD_SERIES}
 
         all_probes: list[np.ndarray] = []
-        tick_probes: list[np.ndarray] = []
-        tick_tenants: list[np.ndarray] = []
-        tick_shards: list[np.ndarray] = []
         found_total = 0
         query_total = 0
         injected_total = 0
@@ -577,23 +575,14 @@ class ClusterSimulator:
         pending_inject = np.empty(0, dtype=np.int64)
         migrated_at_boundary = 0
 
-        def close_tick(injected: int, migrated: int) -> None:
-            merged = (np.concatenate(tick_probes) if tick_probes
-                      else np.empty(0, dtype=np.int64))
-            tenants = (np.concatenate(tick_tenants) if tick_tenants
-                       else np.empty(0, dtype=np.int64))
-            shards = (np.concatenate(tick_shards) if tick_shards
-                      else np.empty(0, dtype=np.int64))
-            if merged.size:
-                p50, p95, p99 = np.percentile(merged, (50, 95, 99))
-                mean = float(merged.mean())
-            else:
-                p50 = p95 = p99 = mean = float("nan")
+        def close_tick(probes: np.ndarray, read_keys: np.ndarray,
+                       injected: int, migrated: int) -> None:
+            tenants = spec.tenant_of(read_keys)
+            shards = router.shard_map.route(read_keys)
+            for name, value in zip(("p50", "p95", "p99", "mean_probes"),
+                                   probe_summary(probes)):
+                series[name].append(value)
             loads = router.drain_tick_loads()
-            series["p50"].append(float(p50))
-            series["p95"].append(float(p95))
-            series["p99"].append(float(p99))
-            series["mean_probes"].append(mean)
             series["error_bound"].append(router.error_bound())
             series["retrains"].append(float(router.retrain_count))
             series["n_keys"].append(float(router.n_keys))
@@ -605,7 +594,7 @@ class ClusterSimulator:
 
             tenant_p95 = np.full(self._n_tenants, np.nan)
             for tenant in range(self._n_tenants):
-                own = merged[tenants == tenant]
+                own = probes[tenants == tenant]
                 if own.size:
                     tenant_p95[tenant] = float(
                         np.percentile(own, 95))
@@ -619,7 +608,7 @@ class ClusterSimulator:
 
             shard_p95 = np.full(router.n_shards, np.nan)
             for shard in range(router.n_shards):
-                own = merged[shards == shard]
+                own = probes[shards == shard]
                 if own.size:
                     shard_p95[shard] = float(np.percentile(own, 95))
             shard_rows["shard_loads"].append(
@@ -644,10 +633,7 @@ class ClusterSimulator:
             series["flagged"].append(float(flagged))
             series["latency_ms"].append(float(latency_ms))
 
-            all_probes.extend(tick_probes)
-            tick_probes.clear()
-            tick_tenants.clear()
-            tick_shards.clear()
+            all_probes.append(probes)
 
         def observe(tick: int) -> ClusterTickObservation:
             nonlocal last_retrains
@@ -712,98 +698,31 @@ class ClusterSimulator:
         for tick_index, tick_end in enumerate(bounds):
             tick_started = (time.perf_counter()
                             if metrics is not None else 0.0)
-            tick_start_op = start
+            ops_this_tick = int(tick_end - start)
             router.start_tick(tick_index)
             injected_this_tick = int(pending_inject.size)
             migrated_this_tick = migrated_at_boundary
             migrated_at_boundary = 0
 
-            if self._columnar:
-                # One router.replay_ops call per tick: pending poison
-                # rides along as a synthetic OP_POISON prefix, so it
-                # lands before the tick's ops exactly as the per-key
-                # injection loop would.
-                t_kinds = kinds[start:tick_end]
-                t_keys = keys[start:tick_end]
-                t_aux = aux[start:tick_end]
-                if injected_this_tick:
-                    t_kinds = np.concatenate([
-                        np.full(injected_this_tick, OP_POISON,
-                                dtype=kinds.dtype), t_kinds])
-                    t_keys = np.concatenate([pending_inject, t_keys])
-                    t_aux = np.concatenate([
-                        np.zeros(injected_this_tick, dtype=np.int64),
-                        t_aux])
-                injected_total += injected_this_tick
-                pending_inject = np.empty(0, dtype=np.int64)
-                found, probes = router.replay_ops(t_kinds, t_keys,
-                                                  t_aux)
-                reads = ((t_kinds == OP_QUERY)
-                         | (t_kinds == OP_RANGE))
-                if probes.size:
-                    read_keys = t_keys[reads]
-                    tick_probes.append(probes)
-                    tick_tenants.append(spec.tenant_of(read_keys))
-                    tick_shards.append(
-                        router.shard_map.route(read_keys))
-                is_query = t_kinds[reads] == OP_QUERY
-                found_total += int(found[is_query].sum())
-                query_total += int(is_query.sum())
-                start = tick_end
-            else:
-                for key in pending_inject:
-                    router.insert_batch(key[np.newaxis])
-                injected_total += injected_this_tick
-                pending_inject = np.empty(0, dtype=np.int64)
-                while start < tick_end:
-                    kind = kinds[start]
-                    stop = start + 1
-                    while stop < tick_end and kinds[stop] == kind:
-                        stop += 1
-                    run_keys = keys[start:stop]
-                    if kind == OP_QUERY:
-                        found, probes = router.lookup_batch(run_keys)
-                        tick_probes.append(probes)
-                        tick_tenants.append(spec.tenant_of(run_keys))
-                        tick_shards.append(
-                            router.shard_map.route(run_keys))
-                        found_total += int(found.sum())
-                        query_total += int(found.size)
-                    elif kind == OP_RANGE:
-                        probes = np.asarray(
-                            [router.range_scan(int(lo), int(hi))
-                             for lo, hi in zip(run_keys,
-                                               aux[start:stop])],
-                            dtype=np.int64)
-                        tick_probes.append(probes)
-                        tick_tenants.append(spec.tenant_of(run_keys))
-                        tick_shards.append(
-                            router.shard_map.route(run_keys))
-                    elif kind in (OP_INSERT, OP_POISON):
-                        for key in run_keys:
-                            router.insert_batch(key[np.newaxis])
-                    elif kind == OP_DELETE:
-                        for key in run_keys:
-                            router.delete_batch(key[np.newaxis])
-                    elif kind == OP_MODIFY:
-                        for key, new in zip(run_keys, aux[start:stop]):
-                            router.delete_batch(key[np.newaxis])
-                            router.insert_batch(new[np.newaxis])
-                    else:  # pragma: no cover - generator never emits
-                        raise ValueError(f"unknown op kind: {kind}")
-                    start = stop
-
-            close_tick(injected_this_tick, migrated_this_tick)
+            found, probes, read_keys = feed_tick(
+                router, kinds[start:tick_end], keys[start:tick_end],
+                aux[start:tick_end], pending_inject, self._columnar)
+            start = tick_end
+            injected_total += injected_this_tick
+            pending_inject = np.empty(0, dtype=np.int64)
+            found_total += int(found.sum())
+            query_total += int(found.size)
+            close_tick(probes, read_keys, injected_this_tick,
+                       migrated_this_tick)
             if metrics is not None:
                 metrics.observe("cluster.tick",
                                 time.perf_counter() - tick_started)
                 metrics.inc("cluster.ticks")
                 metrics.inc("cluster.ops",
-                            int(tick_end - tick_start_op)
-                            + injected_this_tick)
+                            ops_this_tick + injected_this_tick)
                 metrics.trace(
                     "cluster.tick", tick=tick_index,
-                    ops=int(tick_end - tick_start_op),
+                    ops=ops_this_tick,
                     injected=injected_this_tick,
                     migrated=migrated_this_tick,
                     n_shards=int(series["n_shards"][-1]),
@@ -838,17 +757,9 @@ class ClusterSimulator:
                         pending_inject = np.asarray(crafted,
                                                     dtype=np.int64)
 
-        probes_flat = (np.concatenate(all_probes) if all_probes
-                       else np.empty(0, dtype=np.int64))
-        if probes_flat.size:
-            p50, p95, p99 = (float(v) for v in
-                             np.percentile(probes_flat, (50, 95, 99)))
-            mean = float(probes_flat.mean())
-        else:
-            p50 = last_finite(series["p50"])
-            p95 = last_finite(series["p95"])
-            p99 = last_finite(series["p99"])
-            mean = last_finite(series["mean_probes"])
+        p50, p95, p99, mean = probe_summary(
+            np.concatenate(all_probes) if all_probes
+            else np.empty(0, dtype=np.int64), series)
 
         tenant_arrays = {
             name: np.vstack(rows)

@@ -573,7 +573,17 @@ class WorkerClient:
         self._process.start()
         child.close()
         self._conn = parent
-        code, _, body = self._recv(book.config.wall_timeout_s)
+        try:
+            code, _, body = self._recv(book.config.wall_timeout_s)
+        except (EOFError, OSError, TimeoutError, ProtocolError) as exc:
+            # The worker died (or wedged) before acking its build:
+            # reap it, then name the slot and how the process ended.
+            self.close()
+            raise ShardWorkerError(
+                self._shard,
+                f"replica {self._replica} failed the spawn handshake "
+                f"(exit code {self._process.exitcode}): "
+                f"{type(exc).__name__}: {exc}") from exc
         if code != REPLY_OK:
             self.close()
             raise ShardWorkerError(self._shard, body.decode())

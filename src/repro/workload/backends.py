@@ -89,6 +89,45 @@ __all__ = ["BACKENDS", "ServingBackend", "make_backend",
            "RMIBackend", "DynamicBackend"]
 
 
+def _read_chunks(sub_pos: np.ndarray, read_pos: np.ndarray,
+                 n_sub: int):
+    """Walk a segment's reads in chunks that share a mutation prefix.
+
+    Yields ``(m_lo, m_hi, r_lo, r_hi)``: apply sub-ops ``[m_lo, m_hi)``,
+    then serve reads ``[r_lo, r_hi)`` — every read of a chunk sees the
+    same side-table state.  The last item carries the sub-ops after
+    the final read, with an empty read range.
+    """
+    kprefix = np.searchsorted(sub_pos, read_pos)
+    done = 0
+    if kprefix.size:
+        cuts = np.nonzero(np.diff(kprefix))[0] + 1
+        starts = np.concatenate([np.zeros(1, dtype=np.int64), cuts])
+        ends = np.concatenate([cuts, np.asarray([kprefix.size],
+                                                dtype=np.int64)])
+        for cs, ce in zip(starts, ends):
+            upto = int(kprefix[cs])
+            yield done, upto, int(cs), int(ce)
+            done = upto
+    if n_sub > done:
+        yield done, n_sub, int(kprefix.size), int(kprefix.size)
+
+
+def _tomb_check(tombs: np.ndarray, keys: np.ndarray, found: np.ndarray,
+                probes: np.ndarray) -> None:
+    """Tombstoned keys still sit in the model; membership says no.
+
+    In place on ``found``/``probes``.  The searchsorted check stands
+    in for the O(1) bitmap a real system would consult, costing one
+    probe per model hit.
+    """
+    if tombs.size:
+        idx = np.minimum(np.searchsorted(tombs, keys), tombs.size - 1)
+        dead = found & (tombs[idx] == keys)
+        probes[found] += 1
+        found[dead] = False
+
+
 def _trim_sanitizer(keep_fraction: float):
     """A TRIM screen for retrain-time training sets."""
     def sanitize(merged: np.ndarray) -> np.ndarray:
@@ -287,17 +326,7 @@ class ServingBackend:
         found, probes = self._model_lookup(keys)
         found = np.asarray(found, dtype=bool).copy()
         probes = np.asarray(probes, dtype=np.int64).copy()
-        if self._tombs.size:
-            # Tombstoned keys still sit in the model; membership says
-            # no.  The searchsorted check stands in for the O(1)
-            # bitmap a real system would consult, costing one probe.
-            idx = np.searchsorted(self._tombs, keys)
-            idx = np.minimum(idx, self._tombs.size - 1)
-            dead = found & (self._tombs[idx] == keys)
-            probes[found] += 1
-            found[dead] = False
-        side_table_search(self._delta, keys, found, probes)
-        side_table_search(self._quarantine, keys, found, probes)
+        self._adjust_reads(keys, found, probes)
         return found, probes
 
     def range_scan(self, lo: int, hi: int) -> int:
@@ -493,27 +522,19 @@ class ServingBackend:
                             time.perf_counter() - started)
         found = np.asarray(found, dtype=bool).copy()
         probes = np.asarray(probes, dtype=np.int64).copy()
-        kprefix = np.searchsorted(sub_pos, ops.read_pos[r:r_end])
-        cuts = np.nonzero(np.diff(kprefix))[0] + 1
-        starts = np.concatenate([np.zeros(1, dtype=np.int64), cuts])
-        ends = np.concatenate([cuts, np.asarray([kprefix.size],
-                                                dtype=np.int64)])
-        done = 0
         adjust_seconds = 0.0
-        for cs, ce in zip(starts, ends):
-            upto = int(kprefix[cs])
-            if upto > done:
-                self._apply_effects(eff[done:upto],
-                                    sub_key[done:upto])
-                done = upto
+        for m_lo, m_hi, cs, ce in _read_chunks(
+                sub_pos, ops.read_pos[r:r_end], eff.size):
+            if m_hi > m_lo:
+                self._apply_effects(eff[m_lo:m_hi], sub_key[m_lo:m_hi])
+            if ce == cs:
+                continue
             started = (time.perf_counter() if metrics is not None
                        else 0.0)
             self._adjust_reads(keys[cs:ce], found[cs:ce],
                                probes[cs:ce])
             if metrics is not None:
                 adjust_seconds += time.perf_counter() - started
-        if eff.size > done:
-            self._apply_effects(eff[done:], sub_key[done:])
         if metrics is not None:
             metrics.observe("columnar.adjust", adjust_seconds)
         found_out[r:r_end] = found
@@ -569,12 +590,7 @@ class ServingBackend:
         """The post-model steps of :meth:`lookup_batch`, in place on
         one chunk's slices (same order: tombstones, delta,
         quarantine)."""
-        if self._tombs.size:
-            idx = np.minimum(np.searchsorted(self._tombs, keys),
-                             self._tombs.size - 1)
-            dead = found & (self._tombs[idx] == keys)
-            probes[found] += 1
-            found[dead] = False
+        _tomb_check(self._tombs, keys, found, probes)
         side_table_search(self._delta, keys, found, probes)
         side_table_search(self._quarantine, keys, found, probes)
 
@@ -613,35 +629,16 @@ class BinarySearchBackend(ServingBackend):
             # scalar if a caller somehow seeded them.
             self._replay_scalar(ops, found_out, probes_out)
             return
-        if ops.read_pos.size == 0:
-            self._snapshot = sorted_insert(
-                sorted_remove(self._snapshot,
-                              ops.sub_key[~ops.sub_ins]),
-                ops.sub_key[ops.sub_ins])
-            return
-        kprefix = np.searchsorted(ops.sub_pos, ops.read_pos)
-        cuts = np.nonzero(np.diff(kprefix))[0] + 1
-        starts = np.concatenate([np.zeros(1, dtype=np.int64), cuts])
-        ends = np.concatenate([cuts, np.asarray([kprefix.size],
-                                                dtype=np.int64)])
-        done = 0
-
-        def apply(lo: int, hi: int) -> None:
-            keys = ops.sub_key[lo:hi]
-            ins = ops.sub_ins[lo:hi]
-            self._snapshot = sorted_insert(
-                sorted_remove(self._snapshot, keys[~ins]), keys[ins])
-
-        for cs, ce in zip(starts, ends):
-            upto = int(kprefix[cs])
-            if upto > done:
-                apply(done, upto)
-                done = upto
-            f, p = self.lookup_batch(ops.read_keys[cs:ce])
-            found_out[cs:ce] = f
-            probes_out[cs:ce] = p
-        if ops.sub_key.size > done:
-            apply(done, int(ops.sub_key.size))
+        for m_lo, m_hi, cs, ce in _read_chunks(
+                ops.sub_pos, ops.read_pos, ops.sub_key.size):
+            if m_hi > m_lo:
+                keys = ops.sub_key[m_lo:m_hi]
+                ins = ops.sub_ins[m_lo:m_hi]
+                self._snapshot = sorted_insert(
+                    sorted_remove(self._snapshot, keys[~ins]), keys[ins])
+            if ce > cs:
+                found_out[cs:ce], probes_out[cs:ce] = self.lookup_batch(
+                    ops.read_keys[cs:ce])
 
     def _model_lookup(self, keys: np.ndarray):
         n = self._snapshot.size
@@ -853,12 +850,16 @@ class DynamicBackend(ServingBackend):
         self._tombs = np.union1d(self._tombs, present)
         if (self._tombs.size
                 >= self._threshold * max(self._index.n_keys, 1)):
-            live = self.live_keys()
-            self._tombs = np.empty(0, dtype=np.int64)
-            # The replacement index restarts its internal counter;
-            # fold the finished one's cycles in before dropping it.
-            self._retrains += self._index.retrain_count + 1
-            self._build(live)
+            self._fold()
+
+    def _fold(self) -> None:
+        """Compact the tombstones into a fresh index over the live keys."""
+        live = self.live_keys()
+        self._tombs = np.empty(0, dtype=np.int64)
+        # The replacement index restarts its internal counter; fold
+        # the finished one's cycles in before dropping it.
+        self._retrains += self._index.retrain_count + 1
+        self._build(live)
 
     def _model_lookup(self, keys: np.ndarray):
         probe = self._index.lookup_batch(keys)
@@ -867,20 +868,11 @@ class DynamicBackend(ServingBackend):
     def _model_error_bound(self) -> float:
         return float(self._index.rmi.max_search_window())
 
-    def lookup_batch(self, keys: np.ndarray):
+    def _adjust_reads(self, keys: np.ndarray, found: np.ndarray,
+                      probes: np.ndarray) -> None:
         # The dynamic index owns its own side tables; only the
         # tombstone check applies on top.
-        keys = np.asarray(keys, dtype=np.int64)
-        found, probes = self._model_lookup(keys)
-        found = found.copy()
-        probes = probes.copy()
-        if self._tombs.size:
-            idx = np.searchsorted(self._tombs, keys)
-            idx = np.minimum(idx, self._tombs.size - 1)
-            dead = found & (self._tombs[idx] == keys)
-            probes[found] += 1
-            found[dead] = False
-        return found, probes
+        _tomb_check(self._tombs, keys, found, probes)
 
     def _replay_columnar(self, ops: TickOps, found_out: np.ndarray,
                          probes_out: np.ndarray) -> None:
@@ -957,11 +949,8 @@ class DynamicBackend(ServingBackend):
                 index.flush()
             else:
                 # The firing sub-op is a delete tripping the fold in
-                # delete_batch; replicate its compaction verbatim.
-                live = self.live_keys()
-                self._tombs = np.empty(0, dtype=np.int64)
-                self._retrains += index.retrain_count + 1
-                self._build(live)
+                # delete_batch.
+                self._fold()
 
     def _serve_dynamic_segment(self, ops: TickOps, r: int, r_end: int,
                                eff: np.ndarray, sub_key: np.ndarray,
@@ -984,20 +973,15 @@ class DynamicBackend(ServingBackend):
                                 time.perf_counter() - started)
             found = probe.found.copy()
             probes = np.asarray(probe.probes, dtype=np.int64).copy()
-            kprefix = np.searchsorted(sub_pos, ops.read_pos[r:r_end])
-            cuts = np.nonzero(np.diff(kprefix))[0] + 1
-            starts = np.concatenate([np.zeros(1, dtype=np.int64),
-                                     cuts])
-            ends = np.concatenate([cuts, np.asarray([kprefix.size],
-                                                    dtype=np.int64)])
             tombs = self._tombs
-            done = 0
             adjust_seconds = 0.0
-            for cs, ce in zip(starts, ends):
-                upto = int(kprefix[cs])
-                if upto > done:
-                    chunk_eff = eff[done:upto]
-                    chunk_key = sub_key[done:upto]
+            # n_sub=0: the sub-ops after the last read go straight to
+            # the commit below, not to the local arrays.
+            for m_lo, m_hi, cs, ce in _read_chunks(
+                    sub_pos, ops.read_pos[r:r_end], 0):
+                if m_hi > m_lo:
+                    chunk_eff = eff[m_lo:m_hi]
+                    chunk_key = sub_key[m_lo:m_hi]
                     delta = sorted_insert_unique(
                         delta, chunk_key[chunk_eff == EFF_FRESH])
                     tombs = sorted_insert_unique(
@@ -1005,7 +989,6 @@ class DynamicBackend(ServingBackend):
                             tombs,
                             chunk_key[chunk_eff == EFF_REVIVE]),
                         chunk_key[chunk_eff == EFF_TOMB])
-                    done = upto
                 ck = keys[cs:ce]
                 f = found[cs:ce]
                 p = probes[cs:ce]
@@ -1015,12 +998,7 @@ class DynamicBackend(ServingBackend):
                 # side tables first, the tombstone check last.
                 side_table_search(delta, ck, f, p)
                 side_table_search(quar, ck, f, p)
-                if tombs.size:
-                    idx = np.minimum(np.searchsorted(tombs, ck),
-                                     tombs.size - 1)
-                    dead = f & (tombs[idx] == ck)
-                    p[f] += 1
-                    f[dead] = False
+                _tomb_check(tombs, ck, f, p)
                 if metrics is not None:
                     adjust_seconds += time.perf_counter() - started
             if metrics is not None:

@@ -1,11 +1,15 @@
 """Replay a trace against a live backend and record its vitals.
 
 The simulator consumes a :class:`~repro.workload.trace.Trace` in
-order, batching runs of consecutive point queries through the
-backend's vectorized ``lookup_batch`` (the hot path).  State
-mutations are applied strictly one operation at a time: a backend's
-rebuild threshold fires at exactly the same op whether the trace is
-replayed batched or op-at-a-time, so the recorded metrics are
+order, one tick at a time, through :func:`feed_tick` — the one tick
+feed this simulator shares with
+:class:`~repro.cluster.simulator.ClusterSimulator`.  By default each
+tick is one columnar ``replay_ops`` call: the backend applies the
+tick's mutations as classified bulk set operations and batches its
+reads per rebuild-free segment, firing every rebuild at exactly the
+op index a one-op-at-a-time feed would.  The scalar reference feed
+(``columnar=False``) applies mutations one op at a time; the parity
+suite pins both paths bit-identical, so the recorded metrics are
 invariant under batching and tick size.
 
 All recorded metrics are **deterministic cost proxies** — probe
@@ -78,11 +82,12 @@ from .trace import (
 )
 
 __all__ = ["ServingReport", "ServingSimulator", "TickObservation",
-           "TunerDecision", "last_finite"]
+           "TunerDecision", "feed_tick", "last_finite", "probe_summary",
+           "tick_bounds"]
 
-_READ_OPS = (OP_QUERY, OP_RANGE)
-_SERIES = ("p50", "p95", "p99", "mean_probes", "error_bound",
-           "retrains", "amplification", "n_keys")
+_PROBE_SERIES = ("p50", "p95", "p99", "mean_probes")
+_SERIES = _PROBE_SERIES + ("error_bound", "retrains", "amplification",
+                           "n_keys")
 _LOOP_SERIES = ("injected", "keep_fraction", "rebuild_threshold")
 
 
@@ -105,6 +110,117 @@ def last_finite(values: Sequence[float], default: float = 0.0) -> float:
         if math.isfinite(value):
             return float(value)
     return default
+
+
+def tick_bounds(n_ops: int, tick_ops: int,
+                tick_sizes: "np.ndarray | None" = None) -> np.ndarray:
+    """End index (exclusive) of every tick, covering all ``n_ops``.
+
+    Fixed ``tick_ops``-wide ticks (the last one may be short), or the
+    running sum of ``tick_sizes`` for a rate-driven replay.
+    """
+    if tick_sizes is not None:
+        return np.cumsum(tick_sizes)
+    n_ticks = -(-n_ops // tick_ops)  # ceil
+    return np.minimum(
+        (np.arange(n_ticks, dtype=np.int64) + 1) * tick_ops, n_ops)
+
+
+def probe_summary(probes: np.ndarray,
+                  series: "dict[str, list[float]] | None" = None,
+                  ) -> tuple[float, float, float, float]:
+    """``(p50, p95, p99, mean)`` of a probe-count array.
+
+    Without reads the tick value is NaN.  Given the replay's
+    ``series``, the finals instead fall back to each value's last
+    finite tick (0.0 when no tick ever measured a read) — the
+    :func:`last_finite` contract.
+    """
+    if probes.size:
+        p50, p95, p99 = np.percentile(probes, (50, 95, 99))
+        return float(p50), float(p95), float(p99), float(probes.mean())
+    if series is None:
+        return (float("nan"),) * 4
+    return tuple(last_finite(series[name]) for name in _PROBE_SERIES)
+
+
+def feed_tick(target: Any, kinds: np.ndarray, keys: np.ndarray,
+              aux: np.ndarray, inject: np.ndarray, columnar: bool,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Serve one tick's op slice, after the pending injections.
+
+    The one tick feed of both serving simulators.  ``target`` is a
+    :class:`~repro.workload.backends.ServingBackend` or a cluster
+    router: anything with ``replay_ops``, ``lookup_batch``,
+    ``range_scan``, ``insert_batch`` and ``delete_batch``.
+    ``inject`` holds adversary keys that land before the slice.
+
+    Columnar (the simulators' default): one ``target.replay_ops``
+    call, the injections prepended as synthetic ``OP_POISON`` ops.
+    Scalar (the reference the parity suites compare against):
+    injections insert one key at a time, then the slice runs as runs
+    of same-kind ops; only *stateless* reads are batched (a query run
+    is one ``lookup_batch`` call) and mutations apply strictly one op
+    at a time.  Both ways every retrain fires at the same op — a
+    target's batch-level rebuild check never decides retrain timing.
+
+    Returns ``(found, probes, read_keys)``: found per query, probes
+    per read (query or range) and each read's key, in op order.
+    """
+    if columnar:
+        if inject.size:
+            kinds = np.concatenate([
+                np.full(inject.size, OP_POISON, dtype=kinds.dtype),
+                kinds])
+            keys = np.concatenate([inject, keys])
+            aux = np.concatenate([
+                np.zeros(inject.size, dtype=np.int64), aux])
+        found, probes = target.replay_ops(kinds, keys, aux)
+        reads = (kinds == OP_QUERY) | (kinds == OP_RANGE)
+        return found[kinds[reads] == OP_QUERY], probes, keys[reads]
+    for key in inject:
+        target.insert_batch(key[np.newaxis])
+    found_runs: list[np.ndarray] = []
+    probe_runs: list[np.ndarray] = []
+    read_runs: list[np.ndarray] = []
+    start = 0
+    while start < kinds.size:
+        kind = kinds[start]
+        stop = start + 1
+        while stop < kinds.size and kinds[stop] == kind:
+            stop += 1
+        run_keys = keys[start:stop]
+        if kind == OP_QUERY:
+            found, probes = target.lookup_batch(run_keys)
+            found_runs.append(found)
+            probe_runs.append(probes)
+            read_runs.append(run_keys)
+        elif kind == OP_RANGE:
+            probe_runs.append(np.asarray(
+                [target.range_scan(int(lo), int(hi))
+                 for lo, hi in zip(run_keys, aux[start:stop])],
+                dtype=np.int64))
+            read_runs.append(run_keys)
+        elif kind in (OP_INSERT, OP_POISON):
+            for key in run_keys:
+                target.insert_batch(key[np.newaxis])
+        elif kind == OP_DELETE:
+            for key in run_keys:
+                target.delete_batch(key[np.newaxis])
+        elif kind == OP_MODIFY:
+            for key, new in zip(run_keys, aux[start:stop]):
+                target.delete_batch(key[np.newaxis])
+                target.insert_batch(new[np.newaxis])
+        else:  # pragma: no cover - the generator never emits one
+            raise ValueError(f"unknown op kind: {kind}")
+        start = stop
+    return (_concat(found_runs, bool), _concat(probe_runs),
+            _concat(read_runs))
+
+
+def _concat(parts: list[np.ndarray], dtype: Any = np.int64,
+            ) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -253,12 +369,12 @@ class ServingSimulator:
         :class:`TunerDecision` is applied through the backend's tuner
         hooks.
     columnar:
-        Replay each tick through the backend's columnar
-        ``replay_ops`` fast path (the default) instead of the scalar
-        per-op feed.  The two paths are pinned bit-identical — same
-        series, finals, and retrain indices — by the parity suite;
-        the flag exists so that suite (and anyone debugging a
-        backend) can run the reference path.
+        Which path of :func:`feed_tick` serves each tick: the
+        backend's columnar ``replay_ops`` (the default) or the scalar
+        per-op reference feed.  The two paths are pinned
+        bit-identical — same series, finals, and retrain indices — by
+        the parity suite; the flag exists so that suite (and anyone
+        debugging a backend) can run the reference path.
     """
 
     def __init__(self, backend: ServingBackend, trace: Trace,
@@ -321,15 +437,6 @@ class ServingSimulator:
         _, probes = self._backend.lookup_batch(self._probe_sample)
         return float(probes.mean())
 
-    def _tick_bounds(self) -> np.ndarray:
-        """End index (exclusive) of every tick, covering all ops."""
-        n = self._trace.n_ops
-        if self._tick_sizes is not None:
-            return np.cumsum(self._tick_sizes)
-        n_ticks = -(-n // self._tick_ops)  # ceil
-        return np.minimum(
-            (np.arange(n_ticks, dtype=np.int64) + 1) * self._tick_ops, n)
-
     def run(self) -> ServingReport:
         """Replay the whole trace; returns the metrics report."""
         trace, backend = self._trace, self._backend
@@ -337,29 +444,19 @@ class ServingSimulator:
         n = trace.n_ops
         started = time.perf_counter()
         baseline = self._sample_cost()
-        bounds = self._tick_bounds()
+        bounds = tick_bounds(n, self._tick_ops, self._tick_sizes)
 
         names = _SERIES + (_LOOP_SERIES if self._closed_loop else ())
         series: dict[str, list[float]] = {name: [] for name in names}
         all_probes: list[np.ndarray] = []
-        tick_probes: list[np.ndarray] = []
         found_total = 0
         query_total = 0
         injected_total = 0
         last_retrains = 0
 
-        def close_tick(injected: int) -> None:
-            merged = (np.concatenate(tick_probes) if tick_probes
-                      else np.empty(0, dtype=np.int64))
-            if merged.size:
-                p50, p95, p99 = np.percentile(merged, (50, 95, 99))
-                mean = float(merged.mean())
-            else:
-                p50 = p95 = p99 = mean = float("nan")
-            series["p50"].append(float(p50))
-            series["p95"].append(float(p95))
-            series["p99"].append(float(p99))
-            series["mean_probes"].append(mean)
+        def close_tick(probes: np.ndarray, injected: int) -> None:
+            for name, value in zip(_PROBE_SERIES, probe_summary(probes)):
+                series[name].append(value)
             series["error_bound"].append(backend.error_bound())
             series["retrains"].append(float(backend.retrain_count))
             series["amplification"].append(
@@ -367,8 +464,7 @@ class ServingSimulator:
             series["n_keys"].append(float(backend.n_keys))
             if self._closed_loop:
                 series["injected"].append(float(injected))
-            all_probes.extend(tick_probes)
-            tick_probes.clear()
+            all_probes.append(probes)
 
         def observe(tick: int) -> TickObservation:
             """The feedback ports' view of the tick just closed."""
@@ -391,95 +487,32 @@ class ServingSimulator:
             last_retrains = retrains
             return obs
 
-        # Columnar (default): each tick — adversary injections
-        # prepended as synthetic poison ops — is one ``replay_ops``
-        # call; the backend applies mutations as classified bulk
-        # set operations and batches reads per rebuild-free segment,
-        # firing every rebuild at the same op index the scalar feed
-        # would.  Scalar (reference): runs of same-kind ops, never
-        # across a tick boundary; only *stateless* reads are batched
-        # (a query run is one lookup_batch call) and state mutations
-        # apply strictly one op at a time.  Both ways the replay is
-        # invariant under batching and tick size — a backend's
-        # batch-level rebuild check never decides retrain timing.
         start = 0
         pending_inject = np.empty(0, dtype=np.int64)
         metrics = self._metrics
         for tick_index, tick_end in enumerate(bounds):
             tick_started = (time.perf_counter()
                             if metrics is not None else 0.0)
-            tick_start_op = start
+            ops_this_tick = int(tick_end - start)
             injected_this_tick = int(pending_inject.size)
-            if self._columnar:
-                t_kinds = kinds[start:tick_end]
-                t_keys = keys[start:tick_end]
-                t_aux = aux[start:tick_end]
-                if injected_this_tick:
-                    t_kinds = np.concatenate([
-                        np.full(injected_this_tick, OP_POISON,
-                                dtype=kinds.dtype), t_kinds])
-                    t_keys = np.concatenate([pending_inject, t_keys])
-                    t_aux = np.concatenate([
-                        np.zeros(injected_this_tick, dtype=np.int64),
-                        t_aux])
-                injected_total += injected_this_tick
-                pending_inject = np.empty(0, dtype=np.int64)
-                found, probes = backend.replay_ops(t_kinds, t_keys,
-                                                   t_aux)
-                if probes.size:
-                    tick_probes.append(probes)
-                is_query = t_kinds[(t_kinds == OP_QUERY)
-                                   | (t_kinds == OP_RANGE)] == OP_QUERY
-                found_total += int(found[is_query].sum())
-                query_total += int(is_query.sum())
-                start = tick_end
-            else:
-                for key in pending_inject:
-                    backend.insert_batch(key[np.newaxis])
-                injected_total += injected_this_tick
-                pending_inject = np.empty(0, dtype=np.int64)
-                while start < tick_end:
-                    kind = kinds[start]
-                    stop = start + 1
-                    while stop < tick_end and kinds[stop] == kind:
-                        stop += 1
-                    run_keys = keys[start:stop]
-                    if kind == OP_QUERY:
-                        found, probes = backend.lookup_batch(run_keys)
-                        tick_probes.append(probes)
-                        found_total += int(found.sum())
-                        query_total += int(found.size)
-                    elif kind == OP_RANGE:
-                        probes = np.asarray(
-                            [backend.range_scan(int(lo), int(hi))
-                             for lo, hi in zip(run_keys,
-                                               aux[start:stop])],
-                            dtype=np.int64)
-                        tick_probes.append(probes)
-                    elif kind in (OP_INSERT, OP_POISON):
-                        for key in run_keys:
-                            backend.insert_batch(key[np.newaxis])
-                    elif kind == OP_DELETE:
-                        for key in run_keys:
-                            backend.delete_batch(key[np.newaxis])
-                    elif kind == OP_MODIFY:
-                        for key, new in zip(run_keys, aux[start:stop]):
-                            backend.delete_batch(key[np.newaxis])
-                            backend.insert_batch(new[np.newaxis])
-                    else:  # pragma: no cover
-                        raise ValueError(f"unknown op kind: {kind}")
-                    start = stop
-            close_tick(injected_this_tick)
+            found, probes, _ = feed_tick(
+                backend, kinds[start:tick_end], keys[start:tick_end],
+                aux[start:tick_end], pending_inject, self._columnar)
+            start = tick_end
+            injected_total += injected_this_tick
+            pending_inject = np.empty(0, dtype=np.int64)
+            found_total += int(found.sum())
+            query_total += int(found.size)
+            close_tick(probes, injected_this_tick)
             if metrics is not None:
                 metrics.observe("serving.tick",
                                 time.perf_counter() - tick_started)
                 metrics.inc("serving.ticks")
                 metrics.inc("serving.ops",
-                            int(tick_end - tick_start_op)
-                            + injected_this_tick)
+                            ops_this_tick + injected_this_tick)
                 metrics.trace(
                     "serving.tick", tick=tick_index,
-                    ops=int(tick_end - tick_start_op),
+                    ops=ops_this_tick,
                     injected=injected_this_tick,
                     retrains=int(series["retrains"][-1]),
                     n_keys=int(series["n_keys"][-1]))
@@ -508,19 +541,8 @@ class ServingSimulator:
                 series["rebuild_threshold"].append(
                     float(backend.rebuild_threshold))
 
-        probes_flat = (np.concatenate(all_probes) if all_probes
-                       else np.empty(0, dtype=np.int64))
-        if probes_flat.size:
-            p50, p95, p99 = (float(v) for v in
-                             np.percentile(probes_flat, (50, 95, 99)))
-            mean = float(probes_flat.mean())
-        else:
-            # A read-free replay: fall back per the last-finite
-            # contract (0.0 — no tick ever measured a read).
-            p50 = last_finite(series["p50"])
-            p95 = last_finite(series["p95"])
-            p99 = last_finite(series["p99"])
-            mean = last_finite(series["mean_probes"])
+        probes_flat = _concat(all_probes)
+        p50, p95, p99, mean = probe_summary(probes_flat, series)
         error_bounds = np.asarray(series["error_bound"])
         return ServingReport(
             backend=backend.name,

@@ -11,7 +11,13 @@ from repro.cluster import (
     SloWeightedDefense,
     make_cluster_adversary,
 )
-from repro.workload import TraceSpec, generate_trace
+from repro.workload import (
+    BACKENDS,
+    ServingSimulator,
+    TraceSpec,
+    generate_trace,
+    make_backend,
+)
 
 SPEC = TraceSpec(n_base_keys=400, n_ops=1_200, insert_fraction=0.05,
                  n_tenants=3, tenant_layout="skewed", slo_p95=5.0,
@@ -220,3 +226,43 @@ class TestManagementLoop:
                                 tenant_layout="skewed", seed=17)
         report = build(spec=spec_no_slo)[1].run()
         assert report.tenant_slo_violation_fraction == (0.0, 0.0, 0.0)
+
+
+# Both simulators serve their ticks through one shared feed; this pins
+# that, from the outside, a 1-shard cluster reports what a single
+# backend does.  Amplification is left out: the two simulators draw
+# their probe samples from different seeds by design.
+PARITY_MIXES = {
+    "drip-churn": TraceSpec(
+        n_base_keys=2_000, n_ops=3_000, insert_fraction=0.06,
+        delete_fraction=0.03, modify_fraction=0.03, range_fraction=0.05,
+        poison_schedule="drip", poison_percentage=5.0, seed=3),
+    "read-heavy": TraceSpec(
+        n_base_keys=2_000, n_ops=3_000, query_mix="zipfian",
+        insert_fraction=0.01, range_fraction=0.02, seed=3),
+}
+
+
+@pytest.mark.parametrize("columnar", (True, False),
+                         ids=("columnar", "scalar"))
+@pytest.mark.parametrize("mix", sorted(PARITY_MIXES))
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_one_shard_cluster_matches_the_serving_simulator(backend, mix,
+                                                         columnar):
+    spec = PARITY_MIXES[mix]
+    trace = generate_trace(spec)
+    serving = ServingSimulator(make_backend(backend, trace.base_keys),
+                               trace, tick_ops=250,
+                               columnar=columnar).run()
+    router = ClusterRouter(
+        ShardMap.balanced(trace.base_keys, 1, spec.domain()),
+        trace.base_keys, backend)
+    cluster = ClusterSimulator(router, trace, tick_ops=250,
+                               columnar=columnar).run()
+    for name in ("p50", "p95", "p99", "mean_probes", "error_bound",
+                 "retrains", "n_keys"):
+        np.testing.assert_array_equal(cluster.series[name],
+                                      serving.series[name], err_msg=name)
+    for name in ("p50", "p95", "p99", "mean_probes", "found_fraction",
+                 "retrains", "injected_poison"):
+        assert getattr(cluster, name) == getattr(serving, name), name

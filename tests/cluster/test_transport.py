@@ -297,3 +297,79 @@ class TestBookAccounting:
         assert book.flagged() == [(2, 1)]
         assert not book.healthy(2, 1)
         assert book.drain_tick_stats()[0] == 1
+
+
+# ---------------------------------------------------------------------
+# Spawn failures: named errors, no leaked workers
+# ---------------------------------------------------------------------
+class _FakeClient:
+    """A WorkerClient stand-in that fails on replica 1 of ``fail_shard``
+    and records every ``close()``."""
+
+    fail_shard = 0
+    closed: "list[tuple[int, int]]" = []
+
+    def __init__(self, book, shard, replica, *args, **kwargs):
+        if shard == self.fail_shard and replica == 1:
+            raise ShardWorkerError(shard, "injected spawn failure")
+        self.slot = (shard, replica)
+
+    def close(self):
+        self.closed.append(self.slot)
+
+
+class TestSpawnFailures:
+    def test_worker_dying_before_the_ack_names_slot_and_exit_code(
+            self, monkeypatch):
+        import multiprocessing
+        import os
+
+        from repro.cluster import transport
+
+        def die(conn, build_blob):
+            os._exit(3)
+
+        closes = []
+        real_close = WorkerClient.close
+
+        def close(self):
+            closes.append(self.replica)
+            real_close(self)
+
+        monkeypatch.setattr(transport, "shard_worker_main", die)
+        monkeypatch.setattr(WorkerClient, "close", close)
+        with pytest.raises(ShardWorkerError,
+                           match=r"shard 2 worker: replica 1 .*"
+                                 r"exit code 3") as err:
+            WorkerClient(inert_book(), 2, 1, "binary", 0.1, {}, KEYS,
+                         ctx=multiprocessing.get_context("fork"))
+        assert err.value.shard == 2
+        assert isinstance(err.value.__cause__, EOFError)
+        assert closes == [1]
+
+    def test_partial_group_spawn_closes_the_spawned_replicas(
+            self, monkeypatch):
+        from repro.cluster import replication
+
+        monkeypatch.setattr(replication, "WorkerClient", _FakeClient)
+        monkeypatch.setattr(_FakeClient, "closed", [])
+        with pytest.raises(ShardWorkerError, match="injected"):
+            replication.ReplicaGroup(inert_book(), 0, "binary", KEYS,
+                                     0.1, {}, n_replicas=3,
+                                     ctx="unused")
+        assert _FakeClient.closed == [(0, 0)]
+
+    def test_partial_router_spawn_closes_the_built_groups(
+            self, monkeypatch):
+        from repro.cluster import replication
+
+        monkeypatch.setattr(replication, "WorkerClient", _FakeClient)
+        monkeypatch.setattr(_FakeClient, "closed", [])
+        monkeypatch.setattr(_FakeClient, "fail_shard", 1)
+        shard_map = ShardMap.balanced(KEYS, 3, SPEC.domain())
+        with pytest.raises(ShardWorkerError, match="injected"):
+            TransportClusterRouter(shard_map, KEYS, "binary",
+                                   replicas=2)
+        # Shard 1's own replica 0, then every replica of shard 0; shard
+        # 2 was never built.
+        assert sorted(_FakeClient.closed) == [(0, 0), (0, 1), (1, 0)]
