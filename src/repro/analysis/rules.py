@@ -450,7 +450,8 @@ def rep006_lock_discipline(tree, relpath, lines, config):
 @dataclass(frozen=True)
 class KeyBinding:
     """String keys read/written through variable ``var`` must be
-    members of the declared ``keys`` universe."""
+    members of the declared ``keys`` universe, and ``var`` must
+    appear in the module."""
 
     var: str
     keys: frozenset
@@ -515,6 +516,13 @@ def default_bindings() -> tuple:
 
 
 def _check_key_binding(tree, binding: KeyBinding):
+    if not any(isinstance(node, ast.Name) and node.id == binding.var
+               for node in ast.walk(tree)):
+        yield (1, "REP007",
+               f"bound variable `{binding.var}` of the "
+               f"{binding.contract} contract appears nowhere in this "
+               f"module (renamed? the binding is stale)")
+        return
     for node in ast.walk(tree):
         key = None
         if isinstance(node, ast.Subscript) \

@@ -21,8 +21,7 @@ statistic the paper reports and the CDF shapes it plots (Fig. 7):
 
 The attacks consume only the key multiset (values, ranks, density), so
 matching support, cardinality, density and CDF shape exercises exactly
-the code paths the paper's experiments exercise.  The substitution is
-recorded in DESIGN.md section 2.
+the code paths the paper's experiments exercise.
 """
 
 from __future__ import annotations
@@ -112,8 +111,8 @@ def osm_school_latitudes(rng: np.random.Generator,
         Source of randomness; fix the seed for reproducible keysets.
     n:
         Number of unique keys; defaults to the paper's 302,973.  Use a
-        smaller ``n`` for quick runs — density then drops accordingly,
-        which EXPERIMENTS.md notes next to the affected numbers.
+        smaller ``n`` for quick runs — density then drops
+        accordingly.
     """
     centres = np.array([b[0] for b in _LATITUDE_BUMPS])
     stds = np.array([b[1] for b in _LATITUDE_BUMPS])

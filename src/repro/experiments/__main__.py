@@ -1,16 +1,18 @@
 """Command-line entry point: ``python -m repro.experiments <target>``.
 
 Targets mirror the paper's figures and the ablations, plus the
-streaming serving grid:
+streaming serving grids:
 
     fig2 fig3 fig4 fig5 fig6 fig7 fig8
     workload closedloop cluster ablate
-    a1-bruteforce a2-trim a3-cost a4-alpha a5-allocation
+    a1-bruteforce a2-trim a3-cost a4-alpha a5-allocation a6-deletion
+    a7-polynomial a8-blackbox a9-updates a10-ridge a11-adversaries
     all
 
+Each is declared once, as a key of the ``_TARGETS`` registry.
 ``--profile quick`` (default, ``--quick`` is an alias) runs the
 scaled-down configurations; ``--profile full`` runs the larger grids
-recorded in EXPERIMENTS.md.
+(see the README's "Running experiments" section).
 
 ``workload`` replays streaming scenarios (query mixes × poison
 schedules × index backends) through the serving simulator; with
@@ -68,6 +70,10 @@ workload, closedloop, cluster, ablate, and every ablation a1-a11):
     event count, wall-clock stage timings) to ``result.json`` under
     the sibling ``instrument`` key.  The ``result`` payload is
     byte-identical with or without the flag.
+``--transport {inproc,process}``, ``--replicas K``
+    Serve the ``cluster`` and ``ablate`` grids over worker processes
+    (see those targets).  Every other target rejects both flags;
+    ``all`` hands them to those two targets.
 
 Targets that are not sweeps ignore ``--jobs``/``--executor``/
 ``--resume`` and simply skip the ``result.json`` payload.
@@ -111,7 +117,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -179,43 +185,72 @@ def _stderr_progress(target: str) -> Callable[[Any], None]:
     return report
 
 
-# Each target returns (formatted text, JSON payload or None, plan).
+# Each target takes its registry name and the runtime flags and
+# returns (formatted text, JSON payload or None, plan).
 # The plan — this run's cells — scopes the artifact manifest: the
 # checkpoint directory is content-addressed and shared across runs, so
 # only the current plan's artifacts belong in this run's result.json.
 TargetOutput = tuple[str, "dict[str, Any] | None", "list[Any]"]
-Target = Callable[[RunOptions], TargetOutput]
+Target = Callable[[str, RunOptions], TargetOutput]
 
 
-def _run_fig5(opts: RunOptions) -> TargetOutput:
-    config = fig5_config(opts.profile)
-    result = run_sweep(config, **opts.engine_kwargs("fig5"))
-    return result.format(), result.to_dict(), plan_regression(config)
+def _config(module: Any, profile: str) -> Any:
+    """The module's grid for ``profile``, looked up when the target
+    runs (tests swap ``quick_config`` on the module)."""
+    return (module.full_config() if profile == "full"
+            else module.quick_config())
 
 
-def _run_fig8(opts: RunOptions) -> TargetOutput:
-    config = fig8_config(opts.profile)
-    result = run_sweep(config, **opts.engine_kwargs("fig8"))
-    return result.format(), result.to_dict(), plan_regression(config)
+def _plain(module: Any) -> Target:
+    """A non-sweep figure: formatted text only, no payload."""
+    return lambda name, opts: (module.run().format(), None, [])
 
 
-def _run_fig6(opts: RunOptions) -> TargetOutput:
-    config = (fig6_rmi_synthetic.full_config() if opts.profile == "full"
-              else fig6_rmi_synthetic.quick_config())
-    result = fig6_rmi_synthetic.run(config, **opts.engine_kwargs("fig6"))
-    return (result.format(), result.to_dict(),
-            fig6_rmi_synthetic.plan_cells(config))
+def _regression(make_config: Callable[[str], Any]) -> Target:
+    """A regression sweep (fig5, fig8) over ``make_config``'s grid."""
+    def target(name: str, opts: RunOptions) -> TargetOutput:
+        config = make_config(opts.profile)
+        result = run_sweep(config, **opts.engine_kwargs(name))
+        return result.format(), result.to_dict(), plan_regression(config)
+    return target
 
 
-def _run_fig7(opts: RunOptions) -> TargetOutput:
-    config = (fig7_rmi_realworld.full_config() if opts.profile == "full"
-              else fig7_rmi_realworld.quick_config())
-    result = fig7_rmi_realworld.run(config, **opts.engine_kwargs("fig7"))
-    return (result.format(), result.to_dict(),
-            fig7_rmi_realworld.plan_cells(config))
+def _sweep(module: Any, flags: tuple[str, ...] = ()) -> Target:
+    """A grid module with ``quick_config``/``full_config``, ``run`` and
+    ``plan_cells``; ``flags`` names the :class:`RunOptions` fields
+    copied into its config."""
+    def target(name: str, opts: RunOptions) -> TargetOutput:
+        config = _config(module, opts.profile)
+        if flags:
+            config = replace(config, **{flag: getattr(opts, flag)
+                                        for flag in flags})
+        result = module.run(config, **opts.engine_kwargs(name))
+        return (result.format(), result.to_dict(),
+                module.plan_cells(config))
+    return target
 
 
-def _run_workload(opts: RunOptions) -> TargetOutput:
+def _json_row(row: Any) -> dict[str, Any]:
+    """A row dataclass as JSON: every field, non-finite floats
+    stringified by :func:`repro.io.json_float`."""
+    return {key: io.json_float(value) if isinstance(value, float)
+            else value for key, value in asdict(row).items()}
+
+
+def _ablation(run: Callable[..., Any], render: Callable[[Any], str],
+              plan: Callable[[], list[Any]], key: str = "rows") -> Target:
+    """An A-series ablation.  Its payload is derived from the row
+    dataclasses ``run`` returns (listed under ``key``), or is the
+    single report itself."""
+    def target(name: str, opts: RunOptions) -> TargetOutput:
+        result = run(**opts.engine_kwargs(name))
+        payload = ({key: [_json_row(row) for row in result]}
+                   if isinstance(result, list) else _json_row(result))
+        return render(result), payload, plan()
+    return target
+
+
+def _run_workload(name: str, opts: RunOptions) -> TargetOutput:
     """The streaming serving grid, plus the perf-trajectory record.
 
     When ``--out`` is given, a ``BENCH_workload.json`` lands next to
@@ -223,14 +258,12 @@ def _run_workload(opts: RunOptions) -> TargetOutput:
     The result payload itself stays deterministic (probe-count
     metrics), which is what the jobs-parity CI check compares.
     """
-    config = (workload_serving.full_config() if opts.profile == "full"
-              else workload_serving.quick_config())
+    config = _config(workload_serving, opts.profile)
     started = time.perf_counter()
-    result = workload_serving.run(config,
-                                  **opts.engine_kwargs("workload"))
+    result = workload_serving.run(config, **opts.engine_kwargs(name))
     wall = time.perf_counter() - started
     if opts.out is not None:
-        out_dir = opts.checkpoint_dir("workload")
+        out_dir = opts.checkpoint_dir(name)
         out_dir.mkdir(parents=True, exist_ok=True)
         by_backend: dict[str, list[Any]] = {}
         for row in result.rows:
@@ -247,7 +280,7 @@ def _run_workload(opts: RunOptions) -> TargetOutput:
                 "cells_per_second": (len(result.rows) / wall
                                      if wall > 0 else 0.0),
                 "backends": {
-                    name: {
+                    backend: {
                         "mean_probes": io.json_float(
                             sum(r.mean_probes for r in rows)
                             / len(rows)),
@@ -256,7 +289,7 @@ def _run_workload(opts: RunOptions) -> TargetOutput:
                         "worst_amplification": io.json_float(
                             max(r.amplification for r in rows)),
                     }
-                    for name, rows in by_backend.items()
+                    for backend, rows in by_backend.items()
                 },
             },
         }, out_dir / "BENCH_workload.json")
@@ -264,50 +297,19 @@ def _run_workload(opts: RunOptions) -> TargetOutput:
             workload_serving.plan_cells(config))
 
 
-def _run_closedloop(opts: RunOptions) -> TargetOutput:
-    config = (closedloop_serving.full_config() if opts.profile == "full"
-              else closedloop_serving.quick_config())
-    result = closedloop_serving.run(config,
-                                    **opts.engine_kwargs("closedloop"))
-    return (result.format(), result.to_dict(),
-            closedloop_serving.plan_cells(config))
-
-
-def _run_cluster(opts: RunOptions) -> TargetOutput:
+def _run_cluster(name: str, opts: RunOptions) -> TargetOutput:
     """The sharded grid; ``--transport process`` runs it over worker
     processes (bit-identical numbers — the parity contract), and with
     ``--replicas >= 3`` appends the poisoned-replica duel (quorum
     reads + divergence detection vs naive primary reads)."""
-    config = (cluster_serving.full_config() if opts.profile == "full"
-              else cluster_serving.quick_config())
-    config = replace(config, transport=opts.transport,
-                     replicas=opts.replicas)
-    result = cluster_serving.run(config,
-                                 **opts.engine_kwargs("cluster"))
-    text, payload = result.format(), result.to_dict()
+    text, payload, plan = _sweep(
+        cluster_serving, ("transport", "replicas"))(name, opts)
     if opts.transport == "process" and opts.replicas >= 3:
         duel = cluster_serving.run_poisoned_replica_scenario(
             replicas=opts.replicas)
         text = f"{text}\n\n{duel.format()}"
         payload["replication_duel"] = duel.to_dict()
-    return text, payload, cluster_serving.plan_cells(config)
-
-
-def _run_ablate(opts: RunOptions) -> TargetOutput:
-    """The leave-one-out defense-ablation grid: an all-on baseline,
-    one cell per removed component, and an all-off floor per
-    scenario, ranked by how much victim damage each removal
-    re-admits.  ``--components`` restricts which one-off cells run;
-    ``--transport process --replicas >= 3`` adds the replication
-    layer (quorum + divergence detection) as an ablation axis."""
-    config = (ablate.full_config() if opts.profile == "full"
-              else ablate.quick_config())
-    config = replace(config, transport=opts.transport,
-                     replicas=opts.replicas,
-                     components=opts.components)
-    result = ablate.run(config, **opts.engine_kwargs("ablate"))
-    return (result.format(), result.to_dict(),
-            ablate.plan_cells(config))
+    return text, payload, plan
 
 
 def _format_components() -> str:
@@ -322,174 +324,53 @@ def _format_components() -> str:
     return f"{section('ablatable defense components')}\n{table}"
 
 
-def _run_a1(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_bruteforce_equivalence(
-        **opts.engine_kwargs("a1-bruteforce"))
-    payload = {"rows": [
-        {"n_keys": r.n_keys, "domain_size": r.domain_size,
-         "same_key": r.same_key,
-         "fast_seconds": r.fast_seconds,
-         "brute_seconds": r.brute_seconds,
-         "speedup": io.json_float(r.speedup)}
-        for r in rows]}
-    return (ablations.format_bruteforce(rows), payload,
-            ablations.plan_bruteforce_cells())
-
-
-def _run_a2(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_trim_defense(**opts.engine_kwargs("a2-trim"))
-    payload = {"rows": [
-        {"poisoning_percentage": r.poisoning_percentage,
-         "attack_ratio": io.json_float(r.attack_ratio),
-         "variant": r.variant,
-         "recall": r.recall, "precision": r.precision,
-         "residual_ratio": io.json_float(r.residual_ratio)}
-        for r in rows]}
-    return (ablations.format_trim(rows), payload,
-            ablations.plan_trim_cells())
-
-
-def _run_a3(opts: RunOptions) -> TargetOutput:
-    reports = ablations.run_lookup_cost(**opts.engine_kwargs("a3-cost"))
-    payload = {"reports": [
-        {"structure": r.structure, "mean_cost": r.mean_cost,
-         "max_cost": r.max_cost, "n_queries": r.n_queries}
-        for r in reports]}
-    return (ablations.format_lookup_cost(reports), payload,
-            ablations.plan_lookup_cost_cells())
-
-
-def _run_a4(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_alpha_sweep(**opts.engine_kwargs("a4-alpha"))
-    payload = {"rows": [
-        {"alpha": r.alpha,
-         "rmi_ratio": io.json_float(r.rmi_ratio),
-         "max_model_ratio": io.json_float(r.max_model_ratio),
-         "exchanges": r.exchanges}
-        for r in rows]}
-    return (ablations.format_alpha(rows), payload,
-            ablations.plan_alpha_cells())
-
-
-def _run_a5(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_allocation_ablation(
-        **opts.engine_kwargs("a5-allocation"))
-    payload = {"rows": [
-        {"distribution": r.distribution,
-         "uniform_ratio": io.json_float(r.uniform_ratio),
-         "greedy_ratio": io.json_float(r.greedy_ratio),
-         "improvement": io.json_float(r.improvement)}
-        for r in rows]}
-    return (ablations.format_allocation(rows), payload,
-            ablations.plan_allocation_cells())
-
-
-def _run_a6(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_deletion_ablation(
-        **opts.engine_kwargs("a6-deletion"))
-    payload = {"rows": [
-        {"budget_percentage": r.budget_percentage,
-         "insertion_ratio": io.json_float(r.insertion_ratio),
-         "deletion_ratio": io.json_float(r.deletion_ratio)}
-        for r in rows]}
-    return (ablations.format_deletion(rows), payload,
-            ablations.plan_deletion_cells())
-
-
-def _run_a11(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_adversary_comparison(
-        **opts.engine_kwargs("a11-adversaries"))
-    payload = {"rows": [
-        {"budget_percentage": r.budget_percentage,
-         "insertion_ratio": io.json_float(r.insertion_ratio),
-         "deletion_ratio": io.json_float(r.deletion_ratio),
-         "modification_ratio": io.json_float(r.modification_ratio)}
-        for r in rows]}
-    return (ablations.format_adversaries(rows), payload,
-            ablations.plan_adversary_cells())
-
-
-def _run_a7(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_polynomial_ablation(
-        **opts.engine_kwargs("a7-polynomial"))
-    payload = {"rows": [
-        {"degree": r.degree, "n_parameters": r.n_parameters,
-         "multiply_adds": r.multiply_adds,
-         "poisoned_ratio": io.json_float(r.poisoned_ratio)}
-        for r in rows]}
-    return (ablations.format_polynomial(rows), payload,
-            ablations.plan_polynomial_cells())
-
-
-def _run_a8(opts: RunOptions) -> TargetOutput:
-    report = ablations.run_blackbox_ablation(
-        **opts.engine_kwargs("a8-blackbox"))
-    payload = {
-        "n_probes": report.n_probes,
-        "models_recovered": report.models_recovered,
-        "n_models": report.n_models,
-        "max_slope_error": io.json_float(report.max_slope_error),
-        "whitebox_ratio": io.json_float(report.whitebox_ratio),
-        "blackbox_ratio": io.json_float(report.blackbox_ratio),
-    }
-    return (ablations.format_blackbox(report), payload,
-            ablations.plan_blackbox_cells())
-
-
-def _run_a9(opts: RunOptions) -> TargetOutput:
-    report = ablations.run_update_ablation(
-        **opts.engine_kwargs("a9-updates"))
-    payload = {
-        "static_ratio": io.json_float(report.static_ratio),
-        "update_ratio": io.json_float(report.update_ratio),
-        "retrains_triggered": report.retrains_triggered,
-        "clean_lookup_cost": report.clean_lookup_cost,
-        "poisoned_lookup_cost": report.poisoned_lookup_cost,
-    }
-    return (ablations.format_update(report), payload,
-            ablations.plan_update_cells())
-
-
-def _run_a10(opts: RunOptions) -> TargetOutput:
-    rows = ablations.run_ridge_ablation(
-        **opts.engine_kwargs("a10-ridge"))
-    payload = {"rows": [
-        {"lam_fraction": r.lam_fraction, "clean_mse": r.clean_mse,
-         "poisoned_mse": r.poisoned_mse,
-         "poisoned_ratio": io.json_float(r.poisoned_ratio)}
-        for r in rows]}
-    return (ablations.format_ridge(rows), payload,
-            ablations.plan_ridge_cells())
-
-
-def _plain(render: Callable[[RunOptions], str]) -> Target:
-    """Wrap a non-sweep target: formatted text only, no payload."""
-    return lambda opts: (render(opts), None, [])
-
-
+#: Every target, keyed by its CLI name.
 _TARGETS: dict[str, Target] = {
-    "fig2": _plain(lambda opts: fig2_compound_effect.run().format()),
-    "fig3": _plain(lambda opts: fig3_loss_landscape.run().format()),
-    "fig4": _plain(lambda opts: fig4_greedy_showcase.run().format()),
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
+    "fig2": _plain(fig2_compound_effect),
+    "fig3": _plain(fig3_loss_landscape),
+    "fig4": _plain(fig4_greedy_showcase),
+    "fig5": _regression(fig5_config),
+    "fig6": _sweep(fig6_rmi_synthetic),
+    "fig7": _sweep(fig7_rmi_realworld),
+    "fig8": _regression(fig8_config),
     "workload": _run_workload,
-    "closedloop": _run_closedloop,
+    "closedloop": _sweep(closedloop_serving),
     "cluster": _run_cluster,
-    "ablate": _run_ablate,
-    "a1-bruteforce": _run_a1,
-    "a2-trim": _run_a2,
-    "a3-cost": _run_a3,
-    "a4-alpha": _run_a4,
-    "a5-allocation": _run_a5,
-    "a6-deletion": _run_a6,
-    "a7-polynomial": _run_a7,
-    "a8-blackbox": _run_a8,
-    "a9-updates": _run_a9,
-    "a10-ridge": _run_a10,
-    "a11-adversaries": _run_a11,
+    "ablate": _sweep(ablate, ("transport", "replicas", "components")),
+    "a1-bruteforce": _ablation(ablations.run_bruteforce_equivalence,
+                               ablations.format_bruteforce,
+                               ablations.plan_bruteforce_cells),
+    "a2-trim": _ablation(ablations.run_trim_defense,
+                         ablations.format_trim,
+                         ablations.plan_trim_cells),
+    "a3-cost": _ablation(ablations.run_lookup_cost,
+                         ablations.format_lookup_cost,
+                         ablations.plan_lookup_cost_cells,
+                         key="reports"),
+    "a4-alpha": _ablation(ablations.run_alpha_sweep,
+                          ablations.format_alpha,
+                          ablations.plan_alpha_cells),
+    "a5-allocation": _ablation(ablations.run_allocation_ablation,
+                               ablations.format_allocation,
+                               ablations.plan_allocation_cells),
+    "a6-deletion": _ablation(ablations.run_deletion_ablation,
+                             ablations.format_deletion,
+                             ablations.plan_deletion_cells),
+    "a7-polynomial": _ablation(ablations.run_polynomial_ablation,
+                               ablations.format_polynomial,
+                               ablations.plan_polynomial_cells),
+    "a8-blackbox": _ablation(ablations.run_blackbox_ablation,
+                             ablations.format_blackbox,
+                             ablations.plan_blackbox_cells),
+    "a9-updates": _ablation(ablations.run_update_ablation,
+                            ablations.format_update,
+                            ablations.plan_update_cells),
+    "a10-ridge": _ablation(ablations.run_ridge_ablation,
+                           ablations.format_ridge,
+                           ablations.plan_ridge_cells),
+    "a11-adversaries": _ablation(ablations.run_adversary_comparison,
+                                 ablations.format_adversaries,
+                                 ablations.plan_adversary_cells),
 }
 
 
@@ -590,12 +471,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="print per-cell progress and an ETA to "
                              "stderr (engine-backed targets)")
     parser.add_argument("--transport", choices=("inproc", "process"),
-                        default="inproc",
+                        default=None,
                         help="cluster target: serve shards in-process "
                              "(default) or as worker processes behind "
                              "the versioned batch protocol (results "
                              "are identical)")
-    parser.add_argument("--replicas", type=int, default=1, metavar="K",
+    parser.add_argument("--replicas", type=int, default=None,
+                        metavar="K",
                         help="cluster/ablate targets with --transport "
                              "process: worker replicas per shard; >= 3 "
                              "also runs the poisoned-replica duel "
@@ -622,9 +504,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be >= 1")
     if args.resume and args.out is None:
         parser.error("--resume requires --out")
-    if args.replicas < 1:
+    for flag in ("transport", "replicas"):
+        if getattr(args, flag) is not None \
+                and args.target not in ("cluster", "ablate", "all"):
+            parser.error(f"--{flag} only applies to the cluster and "
+                         f"ablate targets")
+    transport = args.transport or "inproc"
+    replicas = 1 if args.replicas is None else args.replicas
+    if replicas < 1:
         parser.error("--replicas must be >= 1")
-    if args.replicas > 1 and args.transport != "process":
+    if replicas > 1 and transport != "process":
         parser.error("--replicas > 1 requires --transport process")
     if args.out is not None and args.out.exists() and not args.out.is_dir():
         parser.error(f"--out {args.out} exists and is not a directory")
@@ -649,8 +538,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"{list(ablate.COMPONENT_NAMES)}, got {name!r}")
     opts = RunOptions(profile=args.profile, jobs=args.jobs, out=args.out,
                       resume=args.resume, executor=args.executor,
-                      progress=args.progress, transport=args.transport,
-                      replicas=args.replicas, components=components)
+                      progress=args.progress, transport=transport,
+                      replicas=replicas, components=components)
 
     if args.list_components:
         print(_format_components())
@@ -670,10 +559,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.instrument:
             registry = observe.MetricsRegistry()
             with observe.installed(registry):
-                text, payload, plan = _TARGETS[name](opts)
+                text, payload, plan = _TARGETS[name](name, opts)
         else:
             registry = None
-            text, payload, plan = _TARGETS[name](opts)
+            text, payload, plan = _TARGETS[name](name, opts)
         print(text)
         print()
         if opts.out is not None and payload is not None:

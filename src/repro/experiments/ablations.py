@@ -1,4 +1,4 @@
-"""Ablations and extensions beyond the paper's figures (DESIGN.md §3).
+"""Ablations and extensions beyond the paper's figures.
 
 * **A1** — optimal-vs-brute-force single point: identical key and
   loss; wall-clock gap grows with the domain (O(n) vs O(m n)).
@@ -21,12 +21,17 @@
   public insert API (the update-time adversary of Sec. VI).
 * **A10** — ridge regularisation: does L2 shrinkage (which the paper
   sets aside as "unclear" for LIS) buy any poisoning robustness?
+* **A11** — insertion vs deletion vs modification adversaries at
+  equal budget, head to head.
+
+Each ablation is a ``python -m repro.experiments aN-<name>`` target;
+its ``result.json`` payload is derived from the row dataclasses here.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -77,6 +82,14 @@ def _engine(runner, jobs: int, checkpoint_dir: str | Path | None,
     return SweepEngine(runner, jobs=jobs, checkpoint=store,
                        resume=resume, executor=executor,
                        progress=progress)
+
+
+def _row(cls, outcome: dict[str, Any], **known: Any):
+    """Rebuild row dataclass ``cls`` from a cell outcome keyed by its
+    field names, undoing :func:`json_float` on the float fields."""
+    floats = {f.name for f in fields(cls) if f.type == "float"}
+    return cls(**known, **{key: parse_json_float(value) if key in floats
+                           else value for key, value in outcome.items()})
 
 
 # ----------------------------------------------------------------------
@@ -145,16 +158,8 @@ def run_bruteforce_equivalence(
     cells = plan_bruteforce_cells(key_counts, density, seed)
     engine = _engine(run_bruteforce_cell, jobs, checkpoint_dir, resume,
                      executor, progress)
-    return [
-        BruteForceRow(
-            n_keys=n,
-            domain_size=outcome["domain_size"],
-            same_key=outcome["same_key"],
-            fast_seconds=outcome["fast_seconds"],
-            brute_seconds=outcome["brute_seconds"],
-            speedup=parse_json_float(outcome["speedup"]))
-        for n, outcome in zip(key_counts, engine.run(cells))
-    ]
+    return [_row(BruteForceRow, outcome, n_keys=n)
+            for n, outcome in zip(key_counts, engine.run(cells))]
 
 
 def format_bruteforce(rows: list[BruteForceRow]) -> str:
@@ -256,15 +261,10 @@ def run_trim_defense(n_keys: int = 1000, density: float = 0.1,
     rows = []
     for pct, outcome in zip(percentages, engine.run(cells)):
         for variant in ("classic", "rank-aware"):
-            scores = outcome["variants"][variant]
-            rows.append(TrimRow(
-                poisoning_percentage=pct,
-                attack_ratio=parse_json_float(outcome["attack_ratio"]),
-                variant=variant,
-                recall=scores["recall"],
-                precision=scores["precision"],
-                residual_ratio=parse_json_float(
-                    scores["residual_ratio"])))
+            rows.append(_row(
+                TrimRow, outcome["variants"][variant],
+                poisoning_percentage=pct, variant=variant,
+                attack_ratio=parse_json_float(outcome["attack_ratio"])))
     return rows
 
 
@@ -332,11 +332,7 @@ def run_lookup_cost(n_keys: int = 20_000, density: float = 0.1,
     engine = _engine(run_lookup_cost_cell, jobs, checkpoint_dir, resume,
                      executor, progress)
     (outcome,) = engine.run(cells)
-    return [CostReport(structure=r["structure"],
-                       mean_cost=r["mean_cost"],
-                       max_cost=r["max_cost"],
-                       n_queries=r["n_queries"])
-            for r in outcome["reports"]]
+    return [CostReport(**r) for r in outcome["reports"]]
 
 
 def format_lookup_cost(reports: list[CostReport]) -> str:
@@ -404,14 +400,8 @@ def run_alpha_sweep(n_keys: int = 10_000, model_size: int = 500,
                              alphas, seed)
     engine = _engine(run_alpha_cell, jobs, checkpoint_dir, resume,
                      executor, progress)
-    return [
-        AlphaRow(alpha=alpha,
-                 rmi_ratio=parse_json_float(outcome["rmi_ratio"]),
-                 max_model_ratio=parse_json_float(
-                     outcome["max_model_ratio"]),
-                 exchanges=outcome["exchanges"])
-        for alpha, outcome in zip(alphas, engine.run(cells))
-    ]
+    return [_row(AlphaRow, outcome, alpha=alpha)
+            for alpha, outcome in zip(alphas, engine.run(cells))]
 
 
 def format_alpha(rows: list[AlphaRow]) -> str:
@@ -491,20 +481,13 @@ def run_allocation_ablation(n_keys: int = 10_000, model_size: int = 500,
                             executor: str = "process",
                             progress=None) -> list[AllocationRow]:
     """A5: value of the exchange loop over uniform initial budgets."""
-    distributions = ALLOCATION_DISTRIBUTIONS
     cells = plan_allocation_cells(n_keys, model_size,
                                   poisoning_percentage, seed)
     engine = _engine(run_allocation_cell, jobs, checkpoint_dir, resume,
                      executor, progress)
-    return [
-        AllocationRow(
-            distribution=distribution,
-            uniform_ratio=parse_json_float(outcome["uniform_ratio"]),
-            greedy_ratio=parse_json_float(outcome["greedy_ratio"]),
-            improvement=parse_json_float(outcome["improvement"]))
-        for distribution, outcome in zip(distributions,
-                                         engine.run(cells))
-    ]
+    return [_row(AllocationRow, outcome, distribution=distribution)
+            for distribution, outcome in zip(ALLOCATION_DISTRIBUTIONS,
+                                             engine.run(cells))]
 
 
 def format_allocation(rows: list[AllocationRow]) -> str:
@@ -581,12 +564,8 @@ def run_deletion_ablation(n_keys: int = 1000, density: float = 0.1,
     cells = plan_deletion_cells(n_keys, density, percentages, seed)
     engine = _engine(run_deletion_cell, jobs, checkpoint_dir, resume,
                      executor, progress)
-    return [
-        DeletionRow(budget_percentage=pct,
-                    insertion_ratio=outcome["insertion_ratio"],
-                    deletion_ratio=outcome["deletion_ratio"])
-        for pct, outcome in zip(percentages, engine.run(cells))
-    ]
+    return [_row(DeletionRow, outcome, budget_percentage=pct)
+            for pct, outcome in zip(percentages, engine.run(cells))]
 
 
 def format_deletion(rows: list["DeletionRow"]) -> str:
@@ -671,14 +650,8 @@ def run_polynomial_ablation(n_keys: int = 1000, density: float = 0.1,
                                   poisoning_percentage, degrees, seed)
     engine = _engine(run_polynomial_cell, jobs, checkpoint_dir, resume,
                      executor, progress)
-    return [
-        PolynomialRow(
-            degree=degree,
-            n_parameters=outcome["n_parameters"],
-            multiply_adds=outcome["multiply_adds"],
-            poisoned_ratio=parse_json_float(outcome["poisoned_ratio"]))
-        for degree, outcome in zip(degrees, engine.run(cells))
-    ]
+    return [_row(PolynomialRow, outcome, degree=degree)
+            for degree, outcome in zip(degrees, engine.run(cells))]
 
 
 def format_polynomial(rows: list["PolynomialRow"]) -> str:
@@ -774,13 +747,7 @@ def run_blackbox_ablation(n_keys: int = 5000, n_models: int = 25,
     engine = _engine(run_blackbox_cell, jobs, checkpoint_dir, resume,
                      executor, progress)
     (outcome,) = engine.run(cells)
-    return BlackboxReport(
-        n_probes=outcome["n_probes"],
-        models_recovered=outcome["models_recovered"],
-        n_models=n_models,
-        max_slope_error=parse_json_float(outcome["max_slope_error"]),
-        whitebox_ratio=parse_json_float(outcome["whitebox_ratio"]),
-        blackbox_ratio=parse_json_float(outcome["blackbox_ratio"]))
+    return _row(BlackboxReport, outcome, n_models=n_models)
 
 
 def format_blackbox(report: "BlackboxReport") -> str:
@@ -873,12 +840,7 @@ def run_update_ablation(n_keys: int = 2000, n_models: int = 20,
     engine = _engine(run_update_cell, jobs, checkpoint_dir, resume,
                      executor, progress)
     (outcome,) = engine.run(cells)
-    return UpdateChannelReport(
-        static_ratio=parse_json_float(outcome["static_ratio"]),
-        update_ratio=parse_json_float(outcome["update_ratio"]),
-        retrains_triggered=outcome["retrains_triggered"],
-        clean_lookup_cost=outcome["clean_lookup_cost"],
-        poisoned_lookup_cost=outcome["poisoned_lookup_cost"])
+    return _row(UpdateChannelReport, outcome)
 
 
 def format_update(report: "UpdateChannelReport") -> str:
@@ -907,12 +869,14 @@ class RidgeRow:
     lam_fraction: float
     clean_mse: float
     poisoned_mse: float
+    poisoned_ratio: float = field(init=False)
 
-    @property
-    def poisoned_ratio(self) -> float:
+    def __post_init__(self) -> None:
         if self.clean_mse == 0.0:
-            return float("inf") if self.poisoned_mse > 0 else 1.0
-        return self.poisoned_mse / self.clean_mse
+            ratio = float("inf") if self.poisoned_mse > 0 else 1.0
+        else:
+            ratio = self.poisoned_mse / self.clean_mse
+        object.__setattr__(self, "poisoned_ratio", ratio)
 
 
 def plan_ridge_cells(n_keys: int = 1000, density: float = 0.1,
@@ -969,13 +933,9 @@ def run_ridge_ablation(n_keys: int = 1000, density: float = 0.1,
                              lam_fractions, seed)
     engine = _engine(run_ridge_cell, jobs, checkpoint_dir, resume,
                      executor, progress)
-    return [
-        RidgeRow(lam_fraction=fraction,
-                 clean_mse=outcome["clean_mse"],
-                 poisoned_mse=outcome["poisoned_mse"])
-        for fraction, outcome in zip(lam_fractions,
-                                     engine.run(cells))
-    ]
+    return [_row(RidgeRow, outcome, lam_fraction=fraction)
+            for fraction, outcome in zip(lam_fractions,
+                                         engine.run(cells))]
 
 
 def format_ridge(rows: list["RidgeRow"]) -> str:
@@ -1043,13 +1003,8 @@ def run_adversary_comparison(n_keys: int = 1000, density: float = 0.1,
     cells = plan_adversary_cells(n_keys, density, percentages, seed)
     engine = _engine(run_adversary_cell, jobs, checkpoint_dir, resume,
                      executor, progress)
-    return [
-        AdversaryRow(budget_percentage=pct,
-                     insertion_ratio=outcome["insertion_ratio"],
-                     deletion_ratio=outcome["deletion_ratio"],
-                     modification_ratio=outcome["modification_ratio"])
-        for pct, outcome in zip(percentages, engine.run(cells))
-    ]
+    return [_row(AdversaryRow, outcome, budget_percentage=pct)
+            for pct, outcome in zip(percentages, engine.run(cells))]
 
 
 def format_adversaries(rows: list["AdversaryRow"]) -> str:

@@ -11,8 +11,7 @@ ratio on the log-normal keys; ratios grow with the model size.
 We keep the paper's *shape parameters* (model sizes, keys:domain
 ratios of 5x and 100x, alphas, percentages) and scale the key count:
 the quick profile runs n = 10^4 with model sizes {10^2, 10^3}; the
-full profile runs n = 10^5 with model sizes up to 10^4.  DESIGN.md
-section 2 records the scaling argument.
+full profile runs n = 10^5 with model sizes up to 10^4.
 """
 
 from __future__ import annotations

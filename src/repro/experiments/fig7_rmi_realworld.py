@@ -9,7 +9,7 @@ models up to ~70x; larger models allow more poisoning per model and so
 larger ratios.
 
 The datasets are the simulated stand-ins of
-:mod:`repro.data.realworld` (DESIGN.md section 2).  The quick profile
+:mod:`repro.data.realworld`.  The quick profile
 scales the OSM dataset to 30,000 keys; the full profile uses the
 published 302,973.
 

@@ -3,7 +3,7 @@
 The paper reports boxplots; a terminal harness reports the same
 five-number summaries as aligned tables plus a coarse ascii boxplot so
 shapes are comparable at a glance.  Every benchmark prints through
-these helpers so EXPERIMENTS.md rows can be pasted verbatim.
+these helpers, so tables from different runs line up row for row.
 
 Serving grids (``closedloop``, ``cluster``) additionally end in a
 *duel* block: every challenger row compared against its same-world

@@ -94,3 +94,20 @@ def test_fixtures_parse_as_python():
     import ast
     for fixture in sorted(FIXTURES.glob("*.py")):
         ast.parse(fixture.read_text(), filename=str(fixture))
+
+
+def test_rep007_reports_a_stale_key_binding():
+    """A bound variable that no longer appears in its module (say, it
+    was renamed) is one finding at line 1, not silence; the live
+    binding next to it stays quiet."""
+    keys = frozenset({"schema", "target", "profile"})
+    bindings = (("rep007_clean.py", (
+        KeyBinding("document", keys, "fixture result"),
+        KeyBinding("payload", keys, "fixture result"),
+    )),)
+    config = LintConfig(enabled=("REP007",), contract_bindings=bindings,
+                        **WIDE)
+    findings = lint_file(FIXTURES / "rep007_clean.py", config,
+                         relpath="rep007_clean.py")
+    assert [(f.rule, f.line) for f in findings] == [("REP007", 1)]
+    assert "`document`" in findings[0].message

@@ -264,3 +264,44 @@ class TestFig7Cli:
         after = {p.name: p.stat().st_mtime_ns
                  for p in (out_dir / "fig7" / "cells").iterdir()}
         assert after == before
+
+
+#: target -> (row count or None for a single-report payload, row keys).
+A_SERIES_PAYLOADS = {
+    "a1-bruteforce": (3, {"n_keys", "domain_size", "same_key",
+                          "fast_seconds", "brute_seconds", "speedup"}),
+    "a2-trim": (6, {"poisoning_percentage", "attack_ratio", "variant",
+                    "recall", "precision", "residual_ratio"}),
+    "a6-deletion": (3, {"budget_percentage", "insertion_ratio",
+                        "deletion_ratio"}),
+    "a7-polynomial": (4, {"degree", "n_parameters", "multiply_adds",
+                          "poisoned_ratio"}),
+    "a8-blackbox": (None, {"n_probes", "models_recovered", "n_models",
+                           "max_slope_error", "whitebox_ratio",
+                           "blackbox_ratio"}),
+    "a9-updates": (None, {"static_ratio", "update_ratio",
+                          "retrains_triggered", "clean_lookup_cost",
+                          "poisoned_lookup_cost"}),
+    "a10-ridge": (4, {"lam_fraction", "clean_mse", "poisoned_mse",
+                      "poisoned_ratio"}),
+    "a11-adversaries": (3, {"budget_percentage", "insertion_ratio",
+                            "deletion_ratio", "modification_ratio"}),
+}
+
+
+@pytest.mark.parametrize("target", sorted(A_SERIES_PAYLOADS))
+def test_a_series_payload_keys(target, tmp_path, capsys):
+    """Each A-series result.json carries exactly its row fields."""
+    assert main([target, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    document = json.loads((tmp_path / target / "result.json").read_text())
+    _validate_summary_schema(document)
+    n_rows, row_keys = A_SERIES_PAYLOADS[target]
+    result = document["result"]
+    if n_rows is None:
+        assert set(result) == row_keys
+        return
+    assert set(result) == {"rows"}
+    assert len(result["rows"]) == n_rows
+    for row in result["rows"]:
+        assert set(row) == row_keys

@@ -320,3 +320,14 @@ class TestTransportCliValidation:
             main(["cluster", "--transport", "process",
                   "--replicas", "0"])
         assert "--replicas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["a6-deletion", "fig5", "report"])
+    @pytest.mark.parametrize("flag, value", [("--transport", "process"),
+                                             ("--transport", "inproc"),
+                                             ("--replicas", "3")])
+    def test_flags_rejected_off_cluster_and_ablate(self, tmp_path, capsys,
+                                                   target, flag, value):
+        with pytest.raises(SystemExit):
+            main([target, flag, value, "--out", str(tmp_path)])
+        assert f"{flag} only applies" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
