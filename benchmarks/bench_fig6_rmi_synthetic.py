@@ -1,8 +1,9 @@
 """Bench Fig. 6: RMI poisoning on uniform and log-normal keys.
 
-The paper's flagship grid, scaled per DESIGN.md section 2 (quick:
-n = 10^4 with model sizes 10^2/10^3; REPRO_PROFILE=full: n = 10^5
-with model sizes up to 10^4).  Shape assertions: more poisoning and
+The paper's flagship grid, scaled per the quick/full profiles of the
+README's "Running experiments" section (quick: n = 10^4 with model
+sizes 10^2/10^3; REPRO_PROFILE=full: n = 10^5 with model sizes up to
+10^4).  Shape assertions: more poisoning and
 bigger second-stage models mean bigger ratios, and the log-normal
 distribution yields heavier per-model tails (the paper's 3000x
 extremes live in that tail at full scale).

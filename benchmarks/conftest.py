@@ -7,7 +7,9 @@ microbenchmarks) and prints the paper-comparable tables.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-The printed blocks are the rows recorded in EXPERIMENTS.md.
+The printed blocks are the paper-comparable tables that
+``python -m repro.experiments <target>`` prints (README, "Running
+experiments").
 """
 
 from __future__ import annotations

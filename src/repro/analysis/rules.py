@@ -496,6 +496,10 @@ def default_bindings() -> tuple:
         ("src/repro/experiments/__main__.py", (
             KeyBinding("document", result_keys, "result/v2"),
         )),
+        ("src/repro/experiments/verify.py", (
+            KeyBinding("document", result_keys, "result/v2"),
+            KeyBinding("entry", artifact_keys, "result/v2 artifacts"),
+        )),
         ("src/repro/ablate/importance.py", (
             KeyBinding("ablation", ablation_keys,
                        "result ablation section"),

@@ -190,7 +190,7 @@ def validate_result(payload: object) -> dict:
 
     Both ends call this: the CLI writer immediately before
     ``result.json`` is saved, and every reader (the gallery renderer,
-    tests, CI scripts) immediately after loading — so a key added on
+    tests, ``verify``) immediately after loading — so a key added on
     one side only fails at the first run, not at the first consumer
     that happens to touch it.
     """

@@ -84,6 +84,9 @@ renders deterministic SVG figure galleries from every
 trajectory sparkline when ``benchmarks/trajectory/`` exists) — see
 :mod:`repro.observe.gallery`.
 
+``verify TARGET [--out DIR] [--executor E]`` runs the target's parity
+legs in-process and checks them — see :mod:`repro.experiments.verify`.
+
 Result schema (``repro.experiments.result/v2``)
 -----------------------------------------------
 ``result.json`` carries::
@@ -134,6 +137,7 @@ from . import (
     fig4_greedy_showcase,
     fig6_rmi_synthetic,
     fig7_rmi_realworld,
+    verify,
     workload_serving,
 )
 from .regression_sweep import fig5_config, fig8_config, run_sweep
@@ -437,6 +441,9 @@ def _write_result(target: str, opts: RunOptions,
 
 def main(argv: list[str] | None = None) -> int:
     """Parse the target and print its tables."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["verify"]:
+        return verify.main(argv[1:], run=main, targets=sorted(_TARGETS))
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Reproduce a figure or ablation of the paper.")
@@ -445,7 +452,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="which experiment to run; 'report' "
                              "renders SVG figure galleries from an "
                              "existing --out tree instead of running "
-                             "anything")
+                             "anything; 'verify TARGET' checks a "
+                             "target's parity contracts")
     parser.add_argument("--profile", choices=("quick", "full"),
                         default="quick",
                         help="quick (scaled, default) or full grids")

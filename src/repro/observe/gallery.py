@@ -14,9 +14,9 @@ pure function of the payload and the ``.npz`` contents:
 * the SVG builders in :mod:`repro.observe.figures` are
   byte-deterministic.
 
-Together that gives the CI property the tentpole asks for: galleries
-rendered from a ``--jobs 1`` run and a ``--jobs 2`` run of the same
-grid are byte-identical directories.
+Together that gives the property ``python -m repro.experiments verify``
+checks: galleries rendered from a ``--jobs 1`` run and a ``--jobs 2``
+run of the same grid are byte-identical directories.
 """
 
 from __future__ import annotations
