@@ -78,6 +78,12 @@ def _changed(a: dict, b: dict) -> "str | None":
                  if a.get(key, _MISSING) != b.get(key, _MISSING)), None)
 
 
+def _result(document: dict[str, Any]) -> dict[str, Any]:
+    """``result`` as ``{key path: leaf}``, ``transport`` left out."""
+    return _flatten({key: value for key, value in document["result"].items()
+                     if key != "transport"}, "result")
+
+
 def _mtimes(target_dir: Path) -> dict[str, int]:
     return {path.name: path.stat().st_mtime_ns
             for path in (target_dir / "cells").iterdir()}
@@ -115,18 +121,17 @@ def _load(leg: Leg, executor: str, target_dir: Path) -> dict[str, Any]:
 
 
 def _check_manifest(leg: Leg, target_dir: Path,
-                    document: dict[str, Any]) -> int:
-    """One entry per cell that promised arrays, each loading to its
-    listed, non-empty arrays; returns the entry count."""
-    promised = Counter(
+                    artifacts: list[dict[str, Any]]) -> None:
+    """A target that emits artifacts lists every plan cell's archive
+    once, and each loads to its listed, non-empty arrays."""
+    cells = Counter(
         path.with_suffix(".npz").relative_to(target_dir).as_posix()
-        for path in (target_dir / "cells").glob("*.json")
-        if io.load_json(path).get("arrays"))
-    listed = Counter(entry["file"] for entry in document["artifacts"])
-    odd = _changed(promised, listed)
-    leg.require(odd is None, f"manifest entry {odd} is not one plan "
-                             f"cell with arrays")
-    for entry in document["artifacts"]:
+        for path in (target_dir / "cells").glob("*.json"))
+    listed = Counter(entry["file"] for entry in artifacts)
+    odd = _changed(cells, listed) if artifacts else None
+    leg.require(odd is None, f"{odd}: {listed[odd]} manifest entries, "
+                             f"{cells[odd]} plan cell checkpoints")
+    for entry in artifacts:
         try:
             arrays = io.load_arrays(target_dir / entry["file"])
         except (OSError, ValueError, zipfile.BadZipFile) as exc:
@@ -137,7 +142,6 @@ def _check_manifest(leg: Leg, target_dir: Path,
         empty = sorted(name for name, array in arrays.items()
                        if not array.size)
         leg.require(not empty, f"{entry['file']}: empty {empty}")
-    return len(document["artifacts"])
 
 
 def verify(target: str, out: Path, executor: str,
@@ -159,26 +163,21 @@ def verify(target: str, out: Path, executor: str,
         documents[leg] = _load(leg, executor, target_dir)
 
     # Checked once every leg has run, so damage a later leg did to an
-    # earlier tree still shows.  Across transports only cells compare.
-    for leg in legs:
-        base = next(other for other in legs
-                    if other.transport == leg.transport)
-        ours = documents[leg]["result"]
-        path = _changed(_flatten(documents[base]["result"], "result"),
-                        _flatten(ours, "result"))
-        if path is None and base != legs[0]:
-            base, path = legs[0], _changed(
-                *(_flatten(document["result"]["cells"], "result.cells")
-                  for document in (documents[legs[0]], documents[leg])))
-        leg.require(path is None, f"{path} differs from leg {base.name}")
-        n_artifacts = _check_manifest(leg, out / leg.tree / target,
-                                      documents[leg])
+    # earlier tree still shows.  _load already matched each transport.
+    reference = _result(documents[legs[0]])
+    for leg in legs[1:]:
+        path = _changed(reference, _result(documents[leg]))
+        leg.require(path is None, f"{path} differs from leg {legs[0].name}")
+    for leg in {leg.tree: leg for leg in legs}.values():  # last per tree
+        _check_manifest(leg, out / leg.tree / target,
+                        documents[leg]["artifacts"])
 
     name = _changed(*(_gallery(out / tree, target)
                       for tree in ("jobs2", "jobs1")))
     legs[2].require(name is None, f"figures/{name} differs from the "
                                   f"jobs2 gallery")
-    return f"{len(legs)} legs agree; {n_artifacts} artifacts round-tripped"
+    return (f"{len(legs)} legs agree; {len(documents[legs[0]]['artifacts'])}"
+            f" artifacts round-tripped")
 
 
 def main(argv: list[str], run: Callable[[list[str]], int],

@@ -10,6 +10,7 @@ import pytest
 
 import repro.experiments.__main__ as cli
 from repro.experiments import closedloop_serving, fig7_rmi_realworld
+from repro.runtime import CheckpointStore
 
 TINY_FIG7 = fig7_rmi_realworld.Fig7Config(
     osm_keys=400, salary_keys=300, model_sizes=(50,),
@@ -77,7 +78,7 @@ def test_jobs_dependent_payload_fails(tiny_fig7, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("before_leg, message", [
     ("resume", "verify fig7: leg resume: resume rewrote cells/{stem}."),
-    ("jobs1", "verify fig7: leg jobs2: cells/{stem}.npz does not load"),
+    ("jobs1", "verify fig7: leg resume: cells/{stem}.npz does not load"),
 ])
 def test_artifact_deleted_between_legs_fails(tiny_fig7, monkeypatch,
                                              tmp_path, before_leg, message):
@@ -108,9 +109,27 @@ def test_manifest_arrays_disagreeing_with_archive_fail(
 
     monkeypatch.setattr(cli, "_collect_artifacts", tampered)
     message = _failure(tmp_path)
-    assert message.startswith("verify fig7: leg jobs2: cells/")
+    assert message.startswith("verify fig7: leg resume: cells/")
     assert message.endswith("manifest lists ['per_model_ratios'], archive "
                             "holds ['per_model_ratios', 'poison_keys']")
+
+
+def test_plan_cell_without_arrays_fails(tiny_fig7, monkeypatch, tmp_path):
+    """A cell whose checkpoint promises no arrays is still a plan cell
+    the manifest must cover."""
+    original = CheckpointStore.save_cell
+    dropped = []
+
+    def dropping(store, cell, result, arrays=None):
+        if store.root.parent.name == "jobs1" and not dropped:
+            arrays = None
+            dropped.append(store.arrays_path(cell).name)
+        original(store, cell, result, arrays)
+
+    monkeypatch.setattr(CheckpointStore, "save_cell", dropping)
+    assert _failure(tmp_path) == (
+        f"verify fig7: leg jobs1: cells/{dropped[0]}: 0 manifest entries, "
+        f"1 plan cell checkpoints")
 
 
 def test_target_without_result_fails(tmp_path):
