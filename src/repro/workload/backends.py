@@ -89,8 +89,7 @@ __all__ = ["BACKENDS", "ServingBackend", "make_backend",
            "RMIBackend", "DynamicBackend"]
 
 
-def _read_chunks(sub_pos: np.ndarray, read_pos: np.ndarray,
-                 n_sub: int):
+def _read_chunks(sub_pos: np.ndarray, read_pos: np.ndarray):
     """Walk a segment's reads in chunks that share a mutation prefix.
 
     Yields ``(m_lo, m_hi, r_lo, r_hi)``: apply sub-ops ``[m_lo, m_hi)``,
@@ -109,8 +108,8 @@ def _read_chunks(sub_pos: np.ndarray, read_pos: np.ndarray,
             upto = int(kprefix[cs])
             yield done, upto, int(cs), int(ce)
             done = upto
-    if n_sub > done:
-        yield done, n_sub, int(kprefix.size), int(kprefix.size)
+    if sub_pos.size > done:
+        yield done, int(sub_pos.size), int(kprefix.size), int(kprefix.size)
 
 
 def _tomb_check(tombs: np.ndarray, keys: np.ndarray, found: np.ndarray,
@@ -460,15 +459,16 @@ class ServingBackend:
             found_out[r:] = f
             probes_out[r:] = p
 
-    #: Pending-update delta per effect code, indexed by EFF_*.
-    _DPEND = np.array([0, -1, 1, -1, 0, 1], dtype=np.int64)
-
     def _replay_columnar(self, ops: TickOps, found_out: np.ndarray,
                          probes_out: np.ndarray) -> None:
         """Segment loop: classify all remaining sub-ops against the
-        current state, find the first rebuild-threshold crossing via
-        the pending-update cumsum, serve and apply everything up to it
-        in bulk, rebuild exactly there, re-classify, repeat."""
+        current state, find the first crossing (the sub-op at which a
+        compaction must fire), serve and apply everything up to it in
+        bulk, fire the compaction exactly there, re-classify, repeat.
+
+        The one loop for every learned backend; they differ only in
+        the hooks ``_classify_mutations``, ``_apply_effects``,
+        ``_model_lookup``, ``_adjust_reads`` and ``_fire``."""
         metrics = self._metrics
         j = 0
         r = 0
@@ -478,13 +478,10 @@ class ServingBackend:
             sub_pos = ops.sub_pos[j:]
             started = (time.perf_counter() if metrics is not None
                        else 0.0)
-            eff = self._classify_mutations(sub_ins, sub_key)
+            eff, crossing = self._classify_mutations(sub_ins, sub_key)
             if metrics is not None:
                 metrics.observe("columnar.classify",
                                 time.perf_counter() - started)
-            pend = self.pending_updates + np.cumsum(self._DPEND[eff])
-            bound = self._threshold * max(self._snapshot.size, 1)
-            crossing = pend >= bound
             fire = bool(crossing.any())
             if fire:
                 seg = int(np.argmax(crossing)) + 1
@@ -500,14 +497,19 @@ class ServingBackend:
             r = r_end
             if not fire:
                 break
-            self.rebuild()
+            self._fire(bool(ops.sub_ins[j - 1]))
+
+    def _fire(self, inserted: bool) -> None:
+        """Run the compaction the crossing sub-op (an insert when
+        ``inserted``) tripped."""
+        self.rebuild()
 
     def _serve_segment(self, ops: TickOps, r: int, r_end: int,
                        eff: np.ndarray, sub_key: np.ndarray,
                        sub_pos: np.ndarray, found_out: np.ndarray,
                        probes_out: np.ndarray) -> None:
-        """One rebuild-free segment: model-batch all its reads at
-        once (the model is fixed between rebuilds), then walk the
+        """One compaction-free segment: model-batch all its reads at
+        once (the model is fixed between compactions), then walk the
         reads in chunks that share a mutation prefix, bulk-applying
         side-table effects between chunks."""
         if r_end <= r:
@@ -523,8 +525,8 @@ class ServingBackend:
         found = np.asarray(found, dtype=bool).copy()
         probes = np.asarray(probes, dtype=np.int64).copy()
         adjust_seconds = 0.0
-        for m_lo, m_hi, cs, ce in _read_chunks(
-                sub_pos, ops.read_pos[r:r_end], eff.size):
+        for m_lo, m_hi, cs, ce in _read_chunks(sub_pos,
+                                               ops.read_pos[r:r_end]):
             if m_hi > m_lo:
                 self._apply_effects(eff[m_lo:m_hi], sub_key[m_lo:m_hi])
             if ce == cs:
@@ -540,10 +542,16 @@ class ServingBackend:
         found_out[r:r_end] = found
         probes_out[r:r_end] = probes
 
+    #: Pending-update delta per effect code, indexed by EFF_*.
+    _DPEND = np.array([0, -1, 1, -1, 0, 1], dtype=np.int64)
+
     def _classify_mutations(self, sub_ins: np.ndarray,
-                            sub_key: np.ndarray) -> np.ndarray:
-        """Effect of each sub-op under the single-key semantics,
-        resolved against the current state.  Only a key's first
+                            sub_key: np.ndarray,
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """``(eff, crossing)``: the effect of each sub-op under the
+        single-key semantics, resolved against the current state, and
+        whether the rebuild check after it fires (the pending-update
+        cumsum reaching the threshold).  Only a key's first
         occurrence can change state (upsert inserts and re-deletes
         are no-ops); hazard slices never reach here, so the
         classification cannot be invalidated mid-segment."""
@@ -560,7 +568,9 @@ class ServingBackend:
         eff[dels & in_d] = EFF_DROP_DELTA
         eff[dels & ~in_d & in_q] = EFF_DROP_QUAR
         eff[dels & ~in_d & ~in_q & in_s & ~in_t] = EFF_TOMB
-        return eff
+        pend = self.pending_updates + np.cumsum(self._DPEND[eff])
+        bound = self._threshold * max(self._snapshot.size, 1)
+        return eff, pend >= bound
 
     def _apply_effects(self, eff: np.ndarray,
                        sub_key: np.ndarray) -> None:
@@ -629,8 +639,7 @@ class BinarySearchBackend(ServingBackend):
             # scalar if a caller somehow seeded them.
             self._replay_scalar(ops, found_out, probes_out)
             return
-        for m_lo, m_hi, cs, ce in _read_chunks(
-                ops.sub_pos, ops.read_pos, ops.sub_key.size):
+        for m_lo, m_hi, cs, ce in _read_chunks(ops.sub_pos, ops.read_pos):
             if m_hi > m_lo:
                 keys = ops.sub_key[m_lo:m_hi]
                 ins = ops.sub_ins[m_lo:m_hi]
@@ -765,13 +774,14 @@ class DynamicBackend(ServingBackend):
                          quarantine_rejects=quarantine_rejects,
                          model_size=model_size)
 
-    def _build(self, keys: np.ndarray) -> None:
+    def _build(self, keys: np.ndarray, sanitize: bool = False) -> None:
         n_models = max(int(keys.size) // self._build_args["model_size"],
                        1)
         self._index = DynamicLearnedIndex(
             keys, n_models=n_models,
             retrain_threshold=self._threshold,
             sanitizer=self._sanitizer,
+            sanitize_initial=sanitize,
             quarantine_rejects=self._quarantine_rejects)
 
     @property
@@ -781,6 +791,10 @@ class DynamicBackend(ServingBackend):
     @property
     def retrain_count(self) -> int:
         return self._retrains + self._index.retrain_count
+
+    @property
+    def pending_updates(self) -> int:
+        return int(self._index.delta_size + self._tombs.size)
 
     @property
     def quarantine_size(self) -> int:
@@ -832,17 +846,7 @@ class DynamicBackend(ServingBackend):
         ``sanitize_initial`` armed, landing rejects in the index's own
         quarantine where lookups price them honestly.
         """
-        live = self.live_keys()
-        self._tombs = np.empty(0, dtype=np.int64)
-        self._retrains += self._index.retrain_count + 1
-        n_models = max(int(live.size) // self._build_args["model_size"],
-                       1)
-        self._index = DynamicLearnedIndex(
-            live, n_models=n_models,
-            retrain_threshold=self._threshold,
-            sanitizer=self._sanitizer,
-            sanitize_initial=True,
-            quarantine_rejects=self._quarantine_rejects)
+        self._fold(sanitize=True)
 
     def delete_batch(self, keys: np.ndarray) -> None:
         keys = np.asarray(keys, dtype=np.int64)
@@ -852,164 +856,97 @@ class DynamicBackend(ServingBackend):
                 >= self._threshold * max(self._index.n_keys, 1)):
             self._fold()
 
-    def _fold(self) -> None:
-        """Compact the tombstones into a fresh index over the live keys."""
+    def _fold(self, sanitize: bool = False) -> None:
+        """Compact the tombstones into a fresh index over the live keys
+        (screened by the sanitizer first when ``sanitize``)."""
         live = self.live_keys()
         self._tombs = np.empty(0, dtype=np.int64)
         # The replacement index restarts its internal counter; fold
         # the finished one's cycles in before dropping it.
         self._retrains += self._index.retrain_count + 1
-        self._build(live)
-
-    def _model_lookup(self, keys: np.ndarray):
-        probe = self._index.lookup_batch(keys)
-        return probe.found, probe.probes
+        self._build(live, sanitize)
 
     def _model_error_bound(self) -> float:
         return float(self._index.rmi.max_search_window())
 
+    # -- segment-loop hooks --------------------------------------------
+    def _classify_mutations(self, sub_ins: np.ndarray,
+                            sub_key: np.ndarray,
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """Effects against the index's own side tables, and two
+        distinct crossings: a fresh insert tripping the index's
+        retrain (``delta >= θ·base``, checked inside
+        :meth:`DynamicLearnedIndex.insert`) and a delete tripping this
+        backend's tombstone fold (``tombs >= θ·max(n_keys, 1)``,
+        checked on *every* delete).  Both levels are cumsums of the
+        classified effects, with the fold's ``n_keys`` varying as
+        fresh inserts land, so the first crossing of either kind is
+        found in one vector pass."""
+        index = self._index
+        base = index.rmi.store.keys
+        delta = index.delta_keys
+        quar = index.quarantine_keys
+        tombs = self._tombs
+        first = first_occurrence(sub_key)
+        in_t = sorted_member(tombs, sub_key)
+        contains = (sorted_member(base, sub_key)
+                    | sorted_member(delta, sub_key)
+                    | sorted_member(quar, sub_key))
+        eff = np.full(sub_key.size, EFF_NOOP, dtype=np.int8)
+        ins = sub_ins & first
+        eff[ins & in_t] = EFF_REVIVE
+        eff[ins & ~in_t & ~contains] = EFF_FRESH
+        dels = ~sub_ins & first
+        eff[dels & contains & ~in_t] = EFF_TOMB
+        cum_fresh = np.cumsum(eff == EFF_FRESH)
+        # Net tombstone level: folds count tombstones added by
+        # deletes minus those revived by re-inserts.
+        cum_tomb = np.cumsum((eff == EFF_TOMB).astype(np.int64)
+                             - (eff == EFF_REVIVE))
+        crossing = np.zeros(sub_key.size, dtype=bool)
+        fresh = eff == EFF_FRESH
+        crossing[fresh] = (delta.size + cum_fresh[fresh]
+                           >= self._threshold * base.size)
+        n_keys_i = base.size + delta.size + cum_fresh + quar.size
+        crossing[~sub_ins] = (
+            tombs.size + cum_tomb[~sub_ins]
+            >= self._threshold * np.maximum(n_keys_i[~sub_ins], 1))
+        return eff, crossing
+
+    def _fire(self, inserted: bool) -> None:
+        if inserted:
+            # The crossing sub-op is the fresh insert whose buffer
+            # append crossed the index's retrain threshold: run
+            # exactly that merge.
+            self._index.flush()
+        else:
+            # The crossing sub-op is a delete tripping the fold in
+            # delete_batch.
+            self._fold()
+
+    def _apply_effects(self, eff: np.ndarray,
+                       sub_key: np.ndarray) -> None:
+        # The index absorbs the fresh keys, already screened for
+        # absence and split at the retrain crossing.
+        self._index._absorb_fresh(sub_key[eff == EFF_FRESH])
+        revive = sub_key[eff == EFF_REVIVE]
+        tomb = sub_key[eff == EFF_TOMB]
+        if revive.size or tomb.size:
+            self._tombs = sorted_insert_unique(
+                sorted_remove_present(self._tombs, revive), tomb)
+
+    def _model_lookup(self, keys: np.ndarray):
+        probe = self._index.rmi.lookup_batch(keys)
+        return probe.found, probe.probes
+
     def _adjust_reads(self, keys: np.ndarray, found: np.ndarray,
                       probes: np.ndarray) -> None:
-        # The dynamic index owns its own side tables; only the
-        # tombstone check applies on top.
+        # Same order as DynamicLearnedIndex.lookup_batch — the index's
+        # delta, then its quarantine — with the tombstone check last.
+        side_table_search(self._index.delta_keys, keys, found, probes)
+        side_table_search(self._index.quarantine_keys, keys, found,
+                          probes)
         _tomb_check(self._tombs, keys, found, probes)
-
-    def _replay_columnar(self, ops: TickOps, found_out: np.ndarray,
-                         probes_out: np.ndarray) -> None:
-        """Segment loop against the index's own bookkeeping.
-
-        Two distinct crossings bound a segment here: a fresh insert
-        tripping the index's retrain (``delta >= θ·base``, checked
-        inside :meth:`DynamicLearnedIndex.insert`) and a delete
-        tripping this backend's tombstone fold (``tombs >= θ·max(
-        n_keys, 1)``, checked on *every* delete).  Both levels are
-        cumsums of the classified effects, with the fold's ``n_keys``
-        varying as fresh inserts land, so the first crossing of
-        either kind is found in one vector pass."""
-        j = 0
-        r = 0
-        while True:
-            index = self._index
-            base = index.rmi.store.keys
-            delta = index.delta_keys
-            quar = index.quarantine_keys
-            tombs = self._tombs
-            sub_key = ops.sub_key[j:]
-            sub_ins = ops.sub_ins[j:]
-            sub_pos = ops.sub_pos[j:]
-            metrics = self._metrics
-            started = (time.perf_counter() if metrics is not None
-                       else 0.0)
-            first = first_occurrence(sub_key)
-            in_t = sorted_member(tombs, sub_key)
-            contains = (sorted_member(base, sub_key)
-                        | sorted_member(delta, sub_key)
-                        | sorted_member(quar, sub_key))
-            eff = np.full(sub_key.size, EFF_NOOP, dtype=np.int8)
-            ins = sub_ins & first
-            eff[ins & in_t] = EFF_REVIVE
-            eff[ins & ~in_t & ~contains] = EFF_FRESH
-            dels = ~sub_ins & first
-            eff[dels & contains & ~in_t] = EFF_TOMB
-            cum_fresh = np.cumsum(eff == EFF_FRESH)
-            # Net tombstone level: folds count tombstones added by
-            # deletes minus those revived by re-inserts.
-            cum_tomb = np.cumsum((eff == EFF_TOMB).astype(np.int64)
-                                 - (eff == EFF_REVIVE))
-            crossing = np.zeros(sub_key.size, dtype=bool)
-            fresh = eff == EFF_FRESH
-            crossing[fresh] = (delta.size + cum_fresh[fresh]
-                               >= self._threshold * base.size)
-            n_keys_i = base.size + delta.size + cum_fresh + quar.size
-            crossing[~sub_ins] = (
-                tombs.size + cum_tomb[~sub_ins]
-                >= self._threshold * np.maximum(n_keys_i[~sub_ins], 1))
-            if metrics is not None:
-                metrics.observe("columnar.classify",
-                                time.perf_counter() - started)
-            fire = bool(crossing.any())
-            if fire:
-                seg = int(np.argmax(crossing)) + 1
-                r_end = int(np.searchsorted(ops.read_pos,
-                                            sub_pos[seg - 1]))
-            else:
-                seg = int(sub_key.size)
-                r_end = int(ops.read_pos.size)
-            self._serve_dynamic_segment(
-                ops, r, r_end, eff[:seg], sub_key[:seg],
-                sub_pos[:seg], delta, quar, found_out, probes_out)
-            j += seg
-            r = r_end
-            if not fire:
-                break
-            if ops.sub_ins[j - 1]:
-                # The firing sub-op is the fresh insert whose buffer
-                # append crossed the index's retrain threshold: run
-                # exactly that merge.
-                index.flush()
-            else:
-                # The firing sub-op is a delete tripping the fold in
-                # delete_batch.
-                self._fold()
-
-    def _serve_dynamic_segment(self, ops: TickOps, r: int, r_end: int,
-                               eff: np.ndarray, sub_key: np.ndarray,
-                               sub_pos: np.ndarray, delta: np.ndarray,
-                               quar: np.ndarray, found_out: np.ndarray,
-                               probes_out: np.ndarray) -> None:
-        """One retrain/fold-free segment: batch the RMI probe over
-        all its reads, walk read chunks with growing local delta and
-        tombstone arrays, then commit them (the index absorbs the
-        fresh keys, already screened for absence and threshold)."""
-        seg_fresh = sub_key[eff == EFF_FRESH]
-        metrics = self._metrics
-        if r_end > r:
-            keys = ops.read_keys[r:r_end]
-            started = (time.perf_counter() if metrics is not None
-                       else 0.0)
-            probe = self._index.rmi.lookup_batch(keys)
-            if metrics is not None:
-                metrics.observe("columnar.model_lookup",
-                                time.perf_counter() - started)
-            found = probe.found.copy()
-            probes = np.asarray(probe.probes, dtype=np.int64).copy()
-            tombs = self._tombs
-            adjust_seconds = 0.0
-            # n_sub=0: the sub-ops after the last read go straight to
-            # the commit below, not to the local arrays.
-            for m_lo, m_hi, cs, ce in _read_chunks(
-                    sub_pos, ops.read_pos[r:r_end], 0):
-                if m_hi > m_lo:
-                    chunk_eff = eff[m_lo:m_hi]
-                    chunk_key = sub_key[m_lo:m_hi]
-                    delta = sorted_insert_unique(
-                        delta, chunk_key[chunk_eff == EFF_FRESH])
-                    tombs = sorted_insert_unique(
-                        sorted_remove_present(
-                            tombs,
-                            chunk_key[chunk_eff == EFF_REVIVE]),
-                        chunk_key[chunk_eff == EFF_TOMB])
-                ck = keys[cs:ce]
-                f = found[cs:ce]
-                p = probes[cs:ce]
-                started = (time.perf_counter() if metrics is not None
-                           else 0.0)
-                # Same adjustment order as lookup_batch: the index's
-                # side tables first, the tombstone check last.
-                side_table_search(delta, ck, f, p)
-                side_table_search(quar, ck, f, p)
-                _tomb_check(tombs, ck, f, p)
-                if metrics is not None:
-                    adjust_seconds += time.perf_counter() - started
-            if metrics is not None:
-                metrics.observe("columnar.adjust", adjust_seconds)
-            found_out[r:r_end] = found
-            probes_out[r:r_end] = probes
-        self._index._absorb_fresh(seg_fresh)
-        self._tombs = sorted_insert_unique(
-            sorted_remove_present(self._tombs,
-                                  sub_key[eff == EFF_REVIVE]),
-            sub_key[eff == EFF_TOMB])
 
 
 BACKENDS: dict[str, type[ServingBackend]] = {

@@ -95,7 +95,7 @@ class TestRebuildCycle:
         backend = make_backend(name, keys, rebuild_threshold=0.05)
         backend.delete_batch(keys[:100])
         assert backend.retrain_count >= 1
-        assert backend.pending_updates == 0 or name == "dynamic"
+        assert backend.pending_updates == 0
         found, _ = backend.lookup_batch(keys[100:])
         assert found.all()
 
@@ -273,3 +273,34 @@ class TestRegistry:
     def test_invalid_threshold_rejected(self, keys):
         with pytest.raises(ValueError, match="threshold"):
             make_backend("rmi", keys, rebuild_threshold=0.0)
+
+
+class TestIndexOwnedSideTables:
+    """The dynamic backend's delta and quarantine live in its
+    :class:`DynamicLearnedIndex`, not in the generic side tables."""
+
+    @pytest.mark.parametrize("name", LEARNED)
+    def test_pending_counts_buffered_inserts_and_tombstones(
+            self, name, keys, fresh):
+        """The dynamic backend buffers inserts in its index's delta,
+        not the generic one, and must still count them as pending."""
+        backend = make_backend(name, keys, rebuild_threshold=0.5)
+        backend.insert_batch(fresh[:100])
+        backend.delete_batch(keys[:10])
+        assert backend.retrain_count == 0
+        assert backend.pending_updates == 110
+
+    def test_dynamic_reads_price_like_the_index(self, keys, fresh):
+        """Without tombstones the dynamic backend's reads are exactly
+        the index's own lookup: model, then the index's delta, then
+        its quarantine, probe for probe."""
+        backend = make_backend("dynamic", keys, rebuild_threshold=0.1,
+                               trim_keep_fraction=0.9)
+        backend.insert_batch(fresh[:120])  # one screened retrain
+        assert backend.quarantine_size > 0
+        assert backend.pending_updates > 0  # keys left in the delta
+        queries = np.concatenate([keys, fresh, fresh + 8_000])
+        found, probes = backend.lookup_batch(queries)
+        reference = backend._index.lookup_batch(queries)
+        assert np.array_equal(found, reference.found)
+        assert np.array_equal(probes, reference.probes)

@@ -36,6 +36,20 @@ from repro.workload import (
 MIX = TraceSpec(n_base_keys=500, n_ops=1_500, insert_fraction=0.12,
                 delete_fraction=0.08, modify_fraction=0.05,
                 range_fraction=0.08, seed=23)
+#: MIX with few deletes and no modifies, so that with TRIM on every
+#: learned backend ends its replay with keys in quarantine (MIX's last
+#: dynamic compaction is an unscreened tombstone fold, which empties it).
+QUARANTINE_MIX = dataclasses.replace(MIX, delete_fraction=0.02,
+                                     modify_fraction=0.0)
+LEARNED = ("linear", "rmi", "dynamic")
+
+
+def with_trim(backends):
+    """``(backend, trim_keep_fraction)`` cases: every backend with TRIM
+    off, plus each learned one with TRIM on."""
+    return ([pytest.param(b, None, id=b) for b in backends]
+            + [pytest.param(b, 0.9, id=f"{b}-trim")
+               for b in backends if b in LEARNED])
 
 
 def assert_reports_identical(a, b):
@@ -47,14 +61,15 @@ def assert_reports_identical(a, b):
                               equal_nan=True), name
 
 
-def run_both(spec_or_trace, backend, make_ports=None, **kwargs):
+def run_both(spec_or_trace, backend, make_ports=None, trim=None,
+             **kwargs):
     trace = (generate_trace(spec_or_trace)
              if isinstance(spec_or_trace, TraceSpec)
              else spec_or_trace)
     reports = []
     for columnar in (True, False):
         b = make_backend(backend, trace.base_keys,
-                         rebuild_threshold=0.12)
+                         rebuild_threshold=0.12, trim_keep_fraction=trim)
         ports = make_ports(trace) if make_ports else {}
         reports.append(ServingSimulator(
             b, trace, columnar=columnar, **ports, **kwargs).run())
@@ -62,29 +77,30 @@ def run_both(spec_or_trace, backend, make_ports=None, **kwargs):
 
 
 class TestServingParity:
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_fixed_tick(self, backend):
-        col, ref = run_both(MIX, backend, tick_ops=200)
+    @pytest.mark.parametrize("backend,trim", with_trim(sorted(BACKENDS)))
+    def test_fixed_tick(self, backend, trim):
+        col, ref = run_both(MIX, backend, trim=trim, tick_ops=200)
         assert_reports_identical(col, ref)
 
-    @pytest.mark.parametrize("backend", ("rmi", "dynamic"))
-    def test_odd_tick_sizes(self, backend):
+    @pytest.mark.parametrize("backend,trim", with_trim(("rmi", "dynamic")))
+    def test_odd_tick_sizes(self, backend, trim):
         for tick_ops in (37, 1):
-            col, ref = run_both(MIX, backend, tick_ops=tick_ops)
+            col, ref = run_both(MIX, backend, trim=trim,
+                                tick_ops=tick_ops)
             assert_reports_identical(col, ref)
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_rate_driven(self, backend):
+    @pytest.mark.parametrize("backend,trim", with_trim(sorted(BACKENDS)))
+    def test_rate_driven(self, backend, trim):
         sizes = make_arrival("poisson", rate=120, seed=9).tick_sizes(8)
         spec = TraceSpec(n_base_keys=400, n_ops=int(sizes.sum()),
                          insert_fraction=0.08, delete_fraction=0.05,
                          range_fraction=0.05, seed=9)
         trace = generate_rate_driven_trace(spec, sizes)
-        col, ref = run_both(trace, backend, tick_sizes=sizes)
+        col, ref = run_both(trace, backend, trim=trim, tick_sizes=sizes)
         assert_reports_identical(col, ref)
 
-    @pytest.mark.parametrize("backend", ("rmi", "dynamic"))
-    def test_closed_loop_adversary_and_tuner(self, backend):
+    @pytest.mark.parametrize("backend,trim", with_trim(("rmi", "dynamic")))
+    def test_closed_loop_adversary_and_tuner(self, backend, trim):
         spec = TraceSpec(n_base_keys=500, n_ops=1_600,
                          insert_fraction=0.10, delete_fraction=0.05,
                          seed=31)
@@ -96,17 +112,19 @@ class TestServingParity:
                     spec.domain(), 60, 7),
                 tuner=TrimAutoTuner(base_threshold=0.12))
 
-        col, ref = run_both(spec, backend, tick_ops=100,
+        col, ref = run_both(spec, backend, trim=trim, tick_ops=100,
                             make_ports=make_ports)
         assert_reports_identical(col, ref)
         assert col.injected_poison > 0  # the loop actually closed
 
-    def test_backend_end_state_matches(self):
-        trace = generate_trace(MIX)
+    @pytest.mark.parametrize("backend,trim", with_trim(sorted(BACKENDS)))
+    def test_backend_end_state_matches(self, backend, trim):
+        trace = generate_trace(MIX if trim is None else QUARANTINE_MIX)
         backends = []
         for columnar in (True, False):
-            b = make_backend("dynamic", trace.base_keys,
-                             rebuild_threshold=0.12)
+            b = make_backend(backend, trace.base_keys,
+                             rebuild_threshold=0.12,
+                             trim_keep_fraction=trim)
             ServingSimulator(b, trace, tick_ops=200,
                              columnar=columnar).run()
             backends.append(b)
@@ -114,6 +132,10 @@ class TestServingParity:
         assert col.retrain_count == ref.retrain_count
         assert col.pending_updates == ref.pending_updates
         assert np.array_equal(col.live_keys(), ref.live_keys())
+        assert col.state_digest() == ref.state_digest()
+        if trim is not None:
+            # The quarantine side list was live to the end.
+            assert col.quarantine_size > 0
 
 
 class TestProbeSampleValidation:
